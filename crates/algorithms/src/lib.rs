@@ -23,7 +23,6 @@ mod kcore;
 mod local;
 mod mis;
 mod pagerank;
-pub mod sharded;
 mod sssp;
 mod triangles;
 
@@ -35,6 +34,5 @@ pub use kcore::{degeneracy, kcore};
 pub use local::{local_cluster, local_cluster_with, two_hop, ClusterResult};
 pub use mis::{mis, verify_mis};
 pub use pagerank::pagerank;
-pub use sharded::{bfs_sharded, cc_sharded};
 pub use sssp::{sssp, INF};
 pub use triangles::{clustering_coefficients, triangle_count};

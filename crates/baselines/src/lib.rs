@@ -15,7 +15,8 @@
 //!   with copied vertex indirection and fragment chains;
 //! * [`worklist_bfs`]/[`worklist_mis`] — an asynchronous worklist
 //!   engine standing in for Galois-style scheduling (the weakest
-//!   substitution; see DESIGN.md §2).
+//!   substitution; `docs/ARCHITECTURE.md`, "`crates/baselines`", says
+//!   what each stand-in keeps of its original).
 //!
 //! All engines implement [`aspen::GraphView`], so the algorithms in
 //! `aspen-algorithms` run unchanged on each — the property that makes

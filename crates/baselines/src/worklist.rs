@@ -5,7 +5,7 @@
 //! This module provides the same flavor: a chunked worklist of vertices
 //! processed by worker threads that push newly activated vertices back.
 //! Used as the "Galois" column stand-in in Table 12 (the weakest
-//! substitution — see DESIGN.md §2).
+//! substitution — see "`crates/baselines`" in `docs/ARCHITECTURE.md`).
 
 use aspen::{GraphView, VertexId};
 use crossbeam::queue::SegQueue;

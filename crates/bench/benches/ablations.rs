@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the design choices `docs/ARCHITECTURE.md`
+//! ("Trees", "Graph layer") and `docs/COMPRESSION.md` call out:
 //!
 //! * chunking on/off (C-tree vs plain purely-functional tree),
 //! * difference encoding on/off within chunks,

@@ -7,7 +7,8 @@
 //! degree distribution is the standard proxy for such social/web
 //! graphs. Every experiment keeps the paper's structure — the sweeps,
 //! the derived metrics, and the cross-system ratios — at the reduced
-//! scale. See DESIGN.md §2 and EXPERIMENTS.md.
+//! scale. `benchmark/README.md` ("Datasets and seeds") says which
+//! stand-ins the repo benchmark runs on.
 
 use aspen::{ChunkParams, CompressedEdges, Graph};
 use graphgen::Rmat;

@@ -2,8 +2,10 @@
 //! rows of a paper table (or figure series) and returns a renderable
 //! [`Table`](crate::tables::Table).
 //!
-//! The per-experiment index lives in DESIGN.md §5; paper-vs-measured
-//! shape comparisons live in EXPERIMENTS.md.
+//! The per-experiment index is `repro`'s usage text (`../main.rs`) and
+//! "Serving surface" in `docs/ARCHITECTURE.md`; measured results are
+//! discussed per subsystem in `docs/RUNTIME.md`, `COMPRESSION.md`,
+//! `INCREMENTAL.md`, `SHARDING.md` and `DURABILITY.md`.
 
 mod algos;
 mod concurrent;

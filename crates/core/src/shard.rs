@@ -5,7 +5,7 @@
 //! partitioned across N independent shard engines, each owning the
 //! adjacency lists of its vertices. [`ShardRouter`] is the one place
 //! that partitioning decision lives: every layer (ingest routing,
-//! query fan-out, bench splitting, test oracles) asks the same router,
+//! point reads on a cut, bench splitting, test oracles) asks the same router,
 //! so a vertex's owner can never be computed two different ways.
 //!
 //! The mirroring convention: an undirected edge `{u, v}` is stored as

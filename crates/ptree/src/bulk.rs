@@ -309,24 +309,48 @@ fn map_reduce_link<E: Entry, A: Augment<E>, R: Send>(
 }
 
 impl<E: Entry, A: Augment<E>> Tree<E, A> {
-    /// Collects the entries in key order using a parallel traversal.
-    pub fn to_vec_par(&self) -> Vec<E> {
-        // In-order parallel collect: left ++ [entry] ++ right.
-        fn go<E: Entry, A: Augment<E>>(link: &Link<E, A>) -> Vec<E> {
-            let Some(n) = link else { return Vec::new() };
-            if n.size <= SEQ_BULK {
-                let mut out = Vec::with_capacity(n.size);
-                Tree::from_link(Some(n.clone())).for_each_seq(&mut |e: &E| out.push(e.clone()));
-                return out;
-            }
-            let (mut l, r) = rayon::join(|| go(&n.left), || go(&n.right));
-            l.reserve(r.len() + 1);
-            l.push(n.entry.clone());
-            l.extend(r);
-            l
-        }
-        go(&self.root)
+    /// Hands every entry `e` exclusive access to `slots[index(e)]`, in
+    /// parallel: the slice is split at each node's index, so the
+    /// subtrees write disjoint halves without synchronisation.
+    /// `O(n)` work, `O(log n)` depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not strictly increasing in key order or
+    /// points past the end of `slots`.
+    pub fn par_scatter<T: Send>(
+        &self,
+        slots: &mut [T],
+        index: impl Fn(&E) -> usize + Sync,
+        write: impl Fn(&E, &mut T) + Sync,
+    ) {
+        scatter_link(&self.root, slots, 0, &index, &write);
     }
+}
+
+/// Scatters the subtree at `link` into `slots`, whose first element is
+/// slot `base` of the whole array.
+fn scatter_link<E: Entry, A: Augment<E>, T: Send>(
+    link: &Link<E, A>,
+    slots: &mut [T],
+    base: usize,
+    index: &(impl Fn(&E) -> usize + Sync),
+    write: &(impl Fn(&E, &mut T) + Sync),
+) {
+    let Some(n) = link else { return };
+    let at = index(&n.entry)
+        .checked_sub(base)
+        .expect("scatter index must increase with the key");
+    let (left, rest) = slots.split_at_mut(at);
+    let (slot, right) = rest
+        .split_first_mut()
+        .expect("scatter index outside the slot array");
+    write(&n.entry, slot);
+    maybe_par(
+        n.size > SEQ_BULK,
+        || scatter_link(&n.left, left, base, index, write),
+        || scatter_link(&n.right, right, base + at + 1, index, write),
+    );
 }
 
 #[cfg(test)]
@@ -455,9 +479,26 @@ mod tests {
     }
 
     #[test]
-    fn to_vec_par_matches_to_vec() {
+    fn par_scatter_writes_each_entry_to_its_slot() {
         let a = t(&(0..20_000).map(|x| x * 7 % 65_536).collect::<Vec<_>>());
-        assert_eq!(a.to_vec_par(), a.to_vec());
+        let mut slots = vec![0u32; 65_536];
+        a.par_scatter(&mut slots, |&x| x as usize, |&x, slot| *slot = x + 1);
+        for (i, &slot) in slots.iter().enumerate() {
+            let want = if a.contains(&(i as u32)) {
+                i as u32 + 1
+            } else {
+                0
+            };
+            assert_eq!(slot, want, "slot {i}");
+        }
+        Tree::<u32>::new().par_scatter(&mut [] as &mut [u32], |&x| x as usize, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the slot array")]
+    fn par_scatter_rejects_an_index_past_the_slots() {
+        let mut slots = vec![0u32; 3];
+        t(&[1, 3]).par_scatter(&mut slots, |&x| x as usize, |&x, slot| *slot = x);
     }
 
     #[test]

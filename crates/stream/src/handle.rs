@@ -173,12 +173,6 @@ impl IngestHandle {
             })
     }
 
-    /// Alias of [`try_send`](Self::try_send), kept for callers reading
-    /// better as a push.
-    pub fn try_push(&self, update: Update) -> Result<(), IngestError> {
-        self.try_send(update)
-    }
-
     /// Push with a bounded wait: retries a full channel until
     /// `timeout` elapses, then gives the update back as
     /// [`IngestError::TimedOut`]. Closure is still reported

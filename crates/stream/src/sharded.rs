@@ -44,10 +44,12 @@
 //!    [`VersionVector`] labeling them. Successive cuts' vectors are
 //!    totally ordered ([`VersionVector::dominates`]).
 //!
-//! Queries [`pin`](ShardedEngine::pin) the latest cut and run either
-//! through the [`GraphView`] impl (any existing algorithm, unchanged)
-//! or through the sharded-native fan-out/merge paths
-//! ([`algorithms::bfs_sharded`], [`algorithms::cc_sharded`]).
+//! Queries [`pin`](ShardedEngine::pin) the latest cut. Point reads go
+//! through its [`GraphView`] impl to the owner shard's tree; global
+//! algorithms ([`ShardedCut::bfs`], [`ShardedCut::connected_components`])
+//! run the ordinary unsharded code over one [`FlatSnapshot`] merged
+//! from every shard (paper §5.1), built on the cut's first global
+//! query and kept for the cut's life.
 
 use crate::config::BatchPolicy;
 use crate::handle::{Barrier, Envelope, IngestError};
@@ -57,7 +59,8 @@ use crate::wal::{
 };
 use crate::StreamEngine;
 use aspen::{
-    EdgeSet, Graph, GraphView, ShardRouter, Version, VersionVector, VersionedGraph, VertexId,
+    EdgeSet, FlatSnapshot, Graph, GraphView, ShardRouter, Version, VersionVector, VersionedGraph,
+    VertexId,
 };
 use graphgen::{partition_arcs, route_update, Update};
 use obs::{Counter, Gauge, Registry};
@@ -65,7 +68,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,17 +77,32 @@ use std::time::{Duration, Instant};
 /// [`VersionVector`] of per-shard installed versions.
 ///
 /// Implements [`GraphView`] by routing every vertex access to the
-/// owner shard, so any unsharded algorithm runs on a cut unchanged;
-/// [`bfs`](Self::bfs) and [`connected_components`](Self::connected_components)
-/// run the sharded-native fan-out/merge versions instead.
+/// owner shard's tree (`O(log n)` per vertex, nothing built), which is
+/// the path for point reads. [`bfs`](Self::bfs) and
+/// [`connected_components`](Self::connected_components) touch every
+/// vertex, so they pay `O(n)` once for a flat snapshot merged from all
+/// shards and then run exactly as on an unsharded graph.
 pub struct ShardedCut<E: EdgeSet> {
     router: ShardRouter,
     epoch: u64,
     vector: VersionVector,
     shards: Vec<Version<E>>,
+    /// Every shard's vertices in one id-indexed array; filled by the
+    /// first global query and shared by all later ones on this cut.
+    flat: OnceLock<FlatSnapshot<E>>,
 }
 
 impl<E: EdgeSet> ShardedCut<E> {
+    fn new(router: ShardRouter, epoch: u64, versions: Vec<u64>, shards: Vec<Version<E>>) -> Self {
+        ShardedCut {
+            router,
+            epoch,
+            vector: VersionVector::from_versions(versions),
+            shards,
+            flat: OnceLock::new(),
+        }
+    }
+
     /// The ingest epoch this cut closed (0 = the initial state).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -110,41 +128,40 @@ impl<E: EdgeSet> ShardedCut<E> {
         self.shards.len()
     }
 
-    fn shard_refs(&self) -> Vec<&Graph<E>> {
-        self.shards.iter().map(|s| s.as_ref()).collect()
+    /// The merged flat snapshot of this cut, built on first use.
+    fn flat(&self) -> &FlatSnapshot<E> {
+        self.flat.get_or_init(|| {
+            let shards: Vec<&Graph<E>> = self.shards.iter().map(|s| s.as_ref()).collect();
+            FlatSnapshot::merged(&shards)
+        })
     }
 
-    /// Fan-out/merge BFS from `src` (frontier exchange per round);
-    /// distances match the unsharded [`algorithms::bfs`] exactly.
+    /// [`algorithms::bfs`] from `src` over the cut's flat snapshot:
+    /// the same result as on the unsharded graph.
     pub fn bfs(&self, src: VertexId) -> algorithms::BfsResult {
-        algorithms::bfs_sharded(&self.shard_refs(), &self.router, src)
+        algorithms::bfs(self.flat(), src)
     }
 
-    /// Fan-out/merge connected components (per-shard union-find, then
-    /// a boundary merge); labels match the unsharded
-    /// [`algorithms::connected_components`] exactly.
+    /// [`algorithms::connected_components`] over the cut's flat
+    /// snapshot: `label[v]` is the smallest id in `v`'s component.
     pub fn connected_components(&self) -> Vec<u32> {
-        algorithms::cc_sharded(&self.shard_refs(), &self.router)
+        algorithms::connected_components(self.flat())
     }
 
-    /// Audits the mirror invariant: every arc `(u, v)` in `u`'s owner
-    /// shard must have its mirror `(v, u)` in `v`'s owner shard.
-    /// Returns the number of violations (0 on any published cut — a
-    /// nonzero count means the epoch-barrier protocol broke).
+    /// Audits the two invariants of a cut: every vertex with out-edges
+    /// in shard `k` is owned by `k`, and every arc `(u, v)` there has
+    /// its mirror `(v, u)` in `v`'s owner shard. Returns the number of
+    /// violations (0 on any published cut — a nonzero count means the
+    /// router or the epoch-barrier protocol broke).
     pub fn check_mirror_consistency(&self) -> usize {
         let mut violations = 0usize;
         for (k, shard) in self.shards.iter().enumerate() {
-            for v in 0..shard.id_bound() as u32 {
-                if self.router.shard_of(v) != k {
-                    continue;
+            shard.for_each_edge(|u, v| {
+                let mirrored = self.shards[self.router.shard_of(v)].contains_edge(v, u);
+                if self.router.shard_of(u) != k || !mirrored {
+                    violations += 1;
                 }
-                shard.for_each_neighbor(v, &mut |w| {
-                    let owner = &self.shards[self.router.shard_of(w)];
-                    if !owner.contains_edge(w, v) {
-                        violations += 1;
-                    }
-                });
-            }
+            });
         }
         violations
     }
@@ -260,12 +277,7 @@ impl<E: EdgeSet> CutCollector<E> {
                 versions.push(version);
                 snapshots.push(snapshot);
             }
-            let cut = Arc::new(ShardedCut {
-                router,
-                epoch,
-                vector: VersionVector::from_versions(versions),
-                shards: snapshots,
-            });
+            let cut = Arc::new(ShardedCut::new(router, epoch, versions, snapshots));
             self.cut_epoch.set(epoch as i64);
             *self.published.lock() = cut;
         }
@@ -453,12 +465,7 @@ impl<E: EdgeSet> ShardedEngineBuilder<E> {
         let base_epoch = self.first_epoch - 1;
         metrics.cut_epoch.set(base_epoch as i64);
         let collector = Arc::new(CutCollector::new(
-            Arc::new(ShardedCut {
-                router,
-                epoch: base_epoch,
-                vector: VersionVector::from_versions(first_seqs),
-                shards: initial_cut,
-            }),
+            Arc::new(ShardedCut::new(router, base_epoch, first_seqs, initial_cut)),
             metrics.cut_epoch.clone(),
         ));
 
@@ -660,11 +667,6 @@ impl ShardedIngestHandle {
                 TrySendError::Full(msg) => IngestError::Full(rejected(msg)),
                 TrySendError::Disconnected(msg) => IngestError::Closed(rejected(msg)),
             })
-    }
-
-    /// Alias of [`try_send`](Self::try_send).
-    pub fn try_push(&self, update: Update) -> Result<(), IngestError> {
-        self.try_send(update)
     }
 
     /// Push with a bounded wait; [`IngestError::TimedOut`] hands the
@@ -1019,6 +1021,86 @@ mod tests {
         // The pinned epoch-0 cut still shows only the ring.
         assert_eq!(epoch0.num_edges(), 16);
         assert_eq!(last.num_edges(), 16 + 100);
+    }
+
+    #[test]
+    fn point_reads_and_pin_never_build_the_flat_snapshot() {
+        let engine = Sharded::builder(ShardRouter::hash(2))
+            .initial_arcs(&ring_arcs(8))
+            .start();
+        let cut = engine.pin();
+        assert_eq!(cut.degree(3), 2);
+        assert_eq!(cut.neighbors(3), vec![2, 4]);
+        assert!(!cut.for_each_neighbor_until(3, &mut |w| w < 4));
+        assert_eq!((cut.id_bound(), cut.num_edges()), (8, 16));
+        assert_eq!(cut.check_mirror_consistency(), 0);
+        // The tree-walking GraphView path for whole algorithms, too.
+        assert_eq!(algorithms::bfs(&*cut, 0).num_reached(), 8);
+        assert!(cut.flat.get().is_none());
+        engine.finish();
+    }
+
+    #[test]
+    fn queries_on_one_cut_share_one_flat_snapshot() {
+        let report = drive(ShardRouter::range(2, 8), &ring_arcs(8), &[]);
+        let cut = &report.final_cut;
+        assert_eq!(cut.bfs(0).dist[4], 4);
+        let built: *const FlatSnapshot<CompressedEdges> = cut.flat.get().expect("built by bfs");
+        assert_eq!(cut.connected_components(), vec![0; 8]);
+        assert_eq!(cut.bfs(4).dist[0], 4);
+        assert!(std::ptr::eq(built, cut.flat.get().unwrap()));
+    }
+
+    #[test]
+    fn a_pinned_cut_keeps_answering_from_its_own_snapshot() {
+        let engine = Sharded::builder(ShardRouter::hash(2))
+            .initial_arcs(&ring_arcs(8))
+            .start();
+        let old = engine.pin();
+        assert_eq!(old.bfs(0).dist[4], 4);
+        let h = engine.handle();
+        // A chord 0–4, and a new vertex beyond the old id space.
+        h.push_all(&[Update::Insert(0, 4), Update::Insert(7, 8)])
+            .unwrap();
+        drop(h);
+        let last = engine.finish().final_cut;
+        assert_eq!(last.bfs(0).dist[4], 1);
+        assert_eq!(last.connected_components(), vec![0; 9]);
+        // The old cut, queried before and after, still sees the ring.
+        assert_eq!(old.bfs(0).dist, vec![0, 1, 2, 3, 4, 3, 2, 1]);
+        assert_eq!(old.connected_components(), vec![0; 8]);
+    }
+
+    #[test]
+    fn audit_flags_a_source_outside_its_owner_shard() {
+        // Shard 1 of a range router over 0..8 owns 4..8; hand it 0's arc.
+        let router = ShardRouter::range(2, 8);
+        let shard = |arcs: &[(u32, u32)]| {
+            Arc::new(Graph::<CompressedEdges>::from_edges(
+                arcs,
+                Default::default(),
+            ))
+        };
+        let good = ShardedCut::new(
+            router,
+            0,
+            vec![0, 0],
+            vec![shard(&[(0, 5)]), shard(&[(5, 0)])],
+        );
+        assert_eq!(good.check_mirror_consistency(), 0);
+        let misplaced = ShardedCut::new(
+            router,
+            0,
+            vec![0, 0],
+            vec![shard(&[]), shard(&[(0, 5), (5, 0)])],
+        );
+        assert_eq!(
+            misplaced.check_mirror_consistency(),
+            2,
+            "no mirror in shard 0, and 0 ∉ shard 1"
+        );
+        let torn = ShardedCut::new(router, 0, vec![0, 0], vec![shard(&[(0, 5)]), shard(&[])]);
+        assert_eq!(torn.check_mirror_consistency(), 1);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! routers, over delta-encoded and intervalized chunk codecs — and the
 //! fully-drained final cut must agree with a **sequentially applied
 //! unsharded oracle** on every analytics digest: directed edge count,
-//! connected-component labels, and BFS distances. Both query paths are
-//! exercised: the fan-out/merge algorithms (`cut.bfs`,
-//! `cut.connected_components`) and the unsharded algorithms running
-//! through the cut's `GraphView` impl. Every cut is also audited for
-//! the mirror invariant (each arc's reverse present in the other
-//! endpoint's shard) — the property the epoch-barrier protocol exists
-//! to guarantee.
+//! connected-component labels, and BFS distances. Both read paths are
+//! exercised: the cut's own queries (`cut.bfs`,
+//! `cut.connected_components`), which run the unsharded algorithms
+//! over one flat snapshot merged from every shard, and the same
+//! algorithms walking the shard trees through the cut's `GraphView`
+//! impl. Every cut is also audited for its invariants (each arc in its
+//! source's owner shard, its reverse present in the other endpoint's
+//! shard) — the properties the router and the epoch-barrier protocol
+//! exist to guarantee.
 //!
 //! Only the *final* state is compared because epoch boundaries depend
 //! on writer timing; final state does not (per-batch last-wins
@@ -72,7 +74,7 @@ fn check_one<E: EdgeSet>(
     assert_eq!(cut.id_bound(), want.id_bound(), "bound under {router:?}");
 
     let want_cc = algorithms::connected_components(want);
-    // Fan-out/merge path…
+    // Over the merged flat snapshot…
     assert_eq!(cut.connected_components(), want_cc, "cc under {router:?}");
     // …and the same algorithm through the cut's GraphView.
     assert_eq!(
@@ -84,11 +86,17 @@ fn check_one<E: EdgeSet>(
     if want.id_bound() > 0 {
         // A source guaranteed in-bounds for both representations.
         let src = (want.id_bound() - 1) as u32 / 2;
-        let want_bfs = algorithms::bfs(want, src).dist;
-        assert_eq!(cut.bfs(src).dist, want_bfs, "bfs under {router:?}");
+        let want_bfs = algorithms::bfs(want, src);
+        let got = cut.bfs(src);
+        assert_eq!(got.dist, want_bfs.dist, "bfs under {router:?}");
+        assert_eq!(got.rounds, want_bfs.rounds, "bfs rounds under {router:?}");
+        if rayon::current_num_threads() == 1 {
+            // One worker claims parents in one order, on any view.
+            assert_eq!(got.parent, want_bfs.parent, "bfs tree under {router:?}");
+        }
         assert_eq!(
             algorithms::bfs(&**cut, src).dist,
-            want_bfs,
+            want_bfs.dist,
             "bfs via GraphView under {router:?}"
         );
     }
