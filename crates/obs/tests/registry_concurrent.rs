@@ -33,7 +33,10 @@ proptest! {
                 let mut last_ops = 0u64;
                 let mut last_lat = 0u64;
                 let mut rounds = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                // Snapshot first, check `stop` after: at least one round
+                // runs however the scheduler orders this thread against
+                // the recorders.
+                loop {
                     let snap = reg.snapshot();
                     let ops = snap.counter("test.ops").expect("counter registered");
                     let h = snap.histogram("test.lat").expect("histogram registered");
@@ -49,6 +52,9 @@ proptest! {
                     last_ops = ops;
                     last_lat = h.count();
                     rounds += 1;
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
                 rounds
             })

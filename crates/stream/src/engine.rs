@@ -9,7 +9,7 @@ use crate::wal::{DurabilityConfig, WalWriter};
 use crate::writer::{writer_loop, ConsistencyTracker, WalState, WriterShared};
 use aspen::{EdgeSet, VersionedGraph};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{channel, sync_channel};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -57,13 +57,16 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
         self
     }
 
-    /// Registers a **standing query**: an analytic whose result the
-    /// writer loop *repairs* after every installed batch — driven by
-    /// the [`aspen::GraphDiff`] between consecutive versions — instead
-    /// of being recomputed from scratch by query threads. Read the
-    /// latest result through [`StreamEngine::standing`]; see
-    /// [`crate::standing`] for the built-ins and the publication
-    /// discipline.
+    /// Registers a **standing query**: an analytic whose result a
+    /// repairer thread keeps *repairing* to the newest installed
+    /// version — driven by the [`aspen::GraphDiff`] from the version it
+    /// last repaired, however many batches ago — instead of being
+    /// recomputed from scratch by query threads. The writer never waits
+    /// for it, so a result may lag the install; its
+    /// [`version`](crate::StandingResult::version) says which version it
+    /// reflects. Read the latest result through
+    /// [`StreamEngine::standing`]; see [`crate::standing`] for the
+    /// built-ins and the publication discipline.
     pub fn register_standing(mut self, analytic: impl StandingAnalytic<E> + 'static) -> Self {
         self.standing.push(Box::new(analytic));
         self
@@ -125,8 +128,10 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
         self
     }
 
-    /// Validates the configuration, spawns the writer loop and query
-    /// threads, and returns the running engine.
+    /// Validates the configuration, spawns the writer loop, the
+    /// standing-query repairer (only if a standing query is
+    /// registered) and the query threads, and returns the running
+    /// engine.
     pub fn start(self) -> StreamEngine<E> {
         self.policy.validate();
         self.config.validate();
@@ -173,11 +178,12 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
 
         // Standing queries initialize on the caller's thread (from the
         // engine's starting snapshot) so their version-0 results are
-        // readable before `start` even returns.
+        // readable before `start` even returns; the repairer thread
+        // then keeps them up with the installs.
         let installed_seq = Arc::new(AtomicU64::new(self.first_seq));
         let mut standing_handles = Vec::with_capacity(self.standing.len());
-        let standing_set = if self.standing.is_empty() {
-            None
+        let (repair_tx, repairer) = if self.standing.is_empty() {
+            (None, None)
         } else {
             let initial = self.vg.acquire();
             let init_one = |analytic| {
@@ -189,10 +195,20 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
                 Some(p) => p.install(|| self.standing.into_iter().map(init_one).collect()),
                 None => self.standing.into_iter().map(init_one).collect(),
             };
-            Some(StandingSet {
+            let set = StandingSet {
                 prev: initial,
                 queries,
-            })
+            };
+            // Unbounded: the writer never blocks on the repairer, and
+            // each round drains whatever queued up meanwhile.
+            let (tx, rx) = channel();
+            let stats = stats.clone();
+            let pool = pool.clone();
+            let repairer = std::thread::Builder::new()
+                .name("aspen-stream-repairer".into())
+                .spawn(move || set.run(rx, &stats, pool.as_deref()))
+                .expect("spawn repairer thread");
+            (Some(tx), Some(repairer))
         };
 
         let writer = {
@@ -212,7 +228,7 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
                         tracker,
                         pool,
                         installed_seq,
-                        standing: standing_set,
+                        repairer: repair_tx,
                         directed,
                         wal,
                     };
@@ -251,6 +267,7 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
                 closed: Arc::new(AtomicBool::new(false)),
             },
             writer,
+            repairer,
             query_threads,
             stop_queries,
             stats,
@@ -261,7 +278,8 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
 }
 
 /// A running ingestion engine: one writer loop, any number of producer
-/// handles, and a pool of query threads — all over one
+/// handles, a pool of query threads, and a standing-query repairer
+/// when standing queries are registered — all over one
 /// [`VersionedGraph`].
 ///
 /// Lifecycle: [`builder`](Self::builder) → [`start`](StreamEngineBuilder::start)
@@ -271,6 +289,7 @@ pub struct StreamEngine<E: EdgeSet> {
     vg: Arc<VersionedGraph<E>>,
     handle: IngestHandle,
     writer: JoinHandle<()>,
+    repairer: Option<JoinHandle<()>>,
     query_threads: Vec<JoinHandle<()>>,
     stop_queries: Arc<AtomicBool>,
     stats: Arc<EngineStats>,
@@ -343,23 +362,17 @@ impl<E: EdgeSet> StreamEngine<E> {
 
     /// Shuts down: drains and joins the writer (blocks until every
     /// producer [`IngestHandle`] is dropped and the channel is empty),
+    /// lets the standing-query repairer finish on the final version,
     /// stops and joins the query threads, and returns the final
     /// statistics report.
     pub fn finish(self) -> StatsReport {
-        // Dropping the engine's own sender lets the writer's channel
-        // disconnect once external producers have dropped theirs.
-        drop(self.handle);
-        self.writer.join().expect("writer thread panicked");
-        self.stop_queries.store(true, Ordering::Release);
-        for t in self.query_threads {
-            t.join().expect("query thread panicked");
-        }
-        self.stats.report()
+        self.join()
     }
 
     /// Graceful shutdown that does **not** wait for producers to drop
     /// their handles: everything already enqueued is drained, flushed,
-    /// and installed, the WAL tail is fsynced, and then the writer and
+    /// and installed, the WAL tail is fsynced, standing results are
+    /// repaired to the final version, and then the writer, repairer and
     /// query threads are joined. Producers racing the close see
     /// [`crate::IngestError::Closed`] on their next push instead of
     /// blocking forever on an undrained channel.
@@ -369,8 +382,22 @@ impl<E: EdgeSet> StreamEngine<E> {
         // already accepted, so nothing acked is abandoned. The send
         // only fails if the writer is already gone — equally done.
         let _ = self.handle.push_shutdown();
+        self.join()
+    }
+
+    /// The shared tail of [`finish`](Self::finish) and
+    /// [`close`](Self::close): writer, then repairer, then query
+    /// threads, then the report.
+    fn join(self) -> StatsReport {
+        // Dropping the engine's own sender lets the writer's channel
+        // disconnect once external producers have dropped theirs.
         drop(self.handle);
         self.writer.join().expect("writer thread panicked");
+        // The writer's exit dropped the repairer's sender: the repairer
+        // runs its last round, on the final version, and returns.
+        if let Some(r) = self.repairer {
+            r.join().expect("repairer thread panicked");
+        }
         self.stop_queries.store(true, Ordering::Release);
         for t in self.query_threads {
             t.join().expect("query thread panicked");
@@ -466,7 +493,7 @@ mod tests {
         drop(h);
         let vg = builder_engine.graph().clone();
         let report = builder_engine.finish();
-        assert!(report.standing_repairs >= 2, "writer never repaired");
+        assert!(report.standing_repairs >= 1, "repairer never ran");
         let g = vg.acquire();
         let r = cc.read();
         assert_eq!(*r.values, algorithms::connected_components(&*g));

@@ -19,11 +19,13 @@
 //!   components, PageRank, or anything custom) run on `acquire`d
 //!   snapshots concurrently with ingestion; readers never block the
 //!   writer and vice versa.
-//! * **[`standing`] queries** — analytics the writer maintains
-//!   *incrementally*: after each batch install it diffs the consecutive
-//!   versions ([`aspen::diff_graphs`], cheap under structural sharing)
-//!   and repairs the result in place instead of recomputing, publishing
-//!   immutable [`StandingResult`]s that readers fetch in `O(1)`.
+//! * **[`standing`] queries** — analytics maintained *incrementally*
+//!   by a repairer thread the writer never waits for: each round it
+//!   skips to the newest installed version, diffs it against the last
+//!   one it repaired ([`aspen::diff_graphs`], cheap under structural
+//!   sharing) and repairs the result in place instead of recomputing,
+//!   publishing immutable, version-labelled [`StandingResult`]s that
+//!   readers fetch in `O(1)`.
 //! * **[`EngineStats`]** — per-batch apply latency, end-to-end update
 //!   latency (enqueue → visible in an installed version), and query
 //!   latency, all as log-bucketed histograms with percentile reporting.

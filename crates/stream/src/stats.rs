@@ -51,13 +51,15 @@ pub struct EngineStats {
     pub deletes_applied: Arc<Counter>,
     /// Query executions completed across all query threads.
     pub queries_run: Arc<Counter>,
-    /// Latency of repairing one standing query for one installed
-    /// version (incremental repair, or the full-recompute fallback).
+    /// Latency of repairing one standing query in one repair round
+    /// (incremental repair, or the full-recompute fallback). A round
+    /// covers every version installed since the previous one.
     pub standing_repair: Arc<LatencyHistogram>,
     /// Latency of extracting the version diff the standing repairs
-    /// consume (one diff per batch, shared by every standing query).
+    /// consume (one diff per repair round, shared by every standing
+    /// query); `batches_applied` ÷ its count is versions per round.
     pub standing_diff: Arc<LatencyHistogram>,
-    /// Standing-query repairs performed (one per query per batch).
+    /// Standing-query repairs performed (one per query per round).
     pub standing_repairs: Arc<Counter>,
     /// Repairs that fell back to from-scratch recomputation because
     /// the diff touched too much of the graph.

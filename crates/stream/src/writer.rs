@@ -3,14 +3,14 @@
 
 use crate::config::BatchPolicy;
 use crate::handle::{Barrier, Envelope, Msg};
-use crate::standing::StandingSet;
+use crate::standing::Installed;
 use crate::stats::EngineStats;
 use crate::wal::{prune, write_checkpoint, DurabilityConfig, WalWriter};
 use aspen::{EdgeSet, VersionedGraph};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -216,14 +216,17 @@ fn wal_maybe_checkpoint<E: EdgeSet>(
 /// Everything the engine hands its dedicated writer thread: the graph
 /// and the state the writer shares with readers (stats, the audit
 /// tracker, the installed-version counter) plus writer-private state
-/// (the compute pool, the standing-query set, and the WAL).
+/// (the compute pool, the repairer's channel, and the WAL).
 pub(crate) struct WriterShared<E: EdgeSet> {
     pub vg: Arc<VersionedGraph<E>>,
     pub stats: Arc<EngineStats>,
     pub tracker: Option<Arc<ConsistencyTracker>>,
     pub pool: Option<Arc<rayon::ThreadPool>>,
     pub installed_seq: Arc<AtomicU64>,
-    pub standing: Option<StandingSet<E>>,
+    /// Standing queries: every installed version goes to the repairer
+    /// thread, which dropping this sender (writer exit) lets drain and
+    /// stop.
+    pub repairer: Option<Sender<Installed<E>>>,
     /// Directed-arc mode: updates are oriented arcs that are applied
     /// as-is (no symmetrization, ordered coalescing keys). Shard
     /// engines run in this mode — the mirror arc of each undirected
@@ -257,7 +260,7 @@ pub(crate) fn writer_loop<E: EdgeSet>(
         tracker,
         pool,
         installed_seq,
-        mut standing,
+        repairer,
         directed,
         mut wal,
     } = shared;
@@ -321,7 +324,7 @@ pub(crate) fn writer_loop<E: EdgeSet>(
                     &stats,
                     tracker.as_deref(),
                     &installed_seq,
-                    standing.as_mut(),
+                    repairer.as_ref(),
                     directed,
                     &mut wal,
                 )
@@ -332,7 +335,7 @@ pub(crate) fn writer_loop<E: EdgeSet>(
                 &stats,
                 tracker.as_deref(),
                 &installed_seq,
-                standing.as_mut(),
+                repairer.as_ref(),
                 directed,
                 &mut wal,
             ),
@@ -353,10 +356,11 @@ pub(crate) fn writer_loop<E: EdgeSet>(
     }
 }
 
-/// Applies one batch as a single atomic version install, repairs any
-/// standing queries for the new version, and settles statistics. With
-/// durability on, the batch's WAL frame is appended (and policy-
-/// synced) *before* the install — write-ahead in the literal sense.
+/// Applies one batch as a single atomic version install, hands the new
+/// version to the standing-query repairer (if any), and settles
+/// statistics. With durability on, the batch's WAL frame is appended
+/// (and policy-synced) *before* the install — write-ahead in the
+/// literal sense.
 #[allow(clippy::too_many_arguments)]
 fn flush<E: EdgeSet>(
     vg: &VersionedGraph<E>,
@@ -364,7 +368,7 @@ fn flush<E: EdgeSet>(
     stats: &EngineStats,
     tracker: Option<&ConsistencyTracker>,
     installed_seq: &AtomicU64,
-    standing: Option<&mut StandingSet<E>>,
+    repairer: Option<&Sender<Installed<E>>>,
     directed: bool,
     wal: &mut Option<WalState>,
 ) {
@@ -416,41 +420,24 @@ fn flush<E: EdgeSet>(
             next
         })
     };
-
-    // Bump the installed-version counter **before** publishing any
-    // standing result for this version: a reader that sees a standing
-    // result for version N is then guaranteed to read a counter ≥ N
-    // (no torn repair — results never get ahead of the install).
-    let version = installed_seq.fetch_add(1, Ordering::AcqRel) + 1;
-    wal_maybe_checkpoint(wal, stats, vg, version);
-    if let Some(standing) = standing {
-        let _s = obs::trace::span_cat("batch.standing", "stream");
-        // The writer is the only thread installing versions, so this
-        // acquire returns exactly the version installed above.
-        let new = vg.acquire();
-        let t_diff = Instant::now();
-        let diff = aspen::diff_graphs(&standing.prev, &new);
-        stats.standing_diff.record(t_diff.elapsed());
-        stats
-            .standing_diff_edges
-            .fetch_add(diff.num_edge_changes() as u64, Ordering::Relaxed);
-        for q in &mut standing.queries {
-            let t0 = Instant::now();
-            let repair = q.repair(version, &diff, &new);
-            stats.standing_repair.record(t0.elapsed());
-            stats.standing_repairs.fetch_add(1, Ordering::Relaxed);
-            if repair.full_recompute {
-                stats
-                    .standing_full_recomputes
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        standing.prev = new;
-    }
-
-    // The whole batch became visible at the install; settle
-    // end-to-end latencies for every enqueued update it carried.
+    // The whole batch became visible at the install; what follows
+    // (handing off, checkpointing) is not visibility latency.
     let visible = Instant::now();
+
+    // Bump the installed-version counter **before** handing the version
+    // to the repairer: a reader that sees a standing result for version
+    // N is then guaranteed to read a counter ≥ N (no torn repair —
+    // results never get ahead of the install).
+    let version = installed_seq.fetch_add(1, Ordering::AcqRel) + 1;
+    if let Some(tx) = repairer {
+        // The writer is the only thread installing versions, so this
+        // acquire returns exactly the version installed above. A send
+        // fails only if the repairer panicked, which joining it reports.
+        let _ = tx.send((version, vg.acquire()));
+    }
+    wal_maybe_checkpoint(wal, stats, vg, version);
+
+    // Settle end-to-end latencies for every update the batch carried.
     for env in batch {
         stats
             .update_e2e

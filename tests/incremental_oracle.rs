@@ -3,11 +3,14 @@
 //! Randomized batched update histories — symmetrized edge batches (the
 //! invariant the streaming writer maintains), vertex-removing deletes,
 //! duplicate updates, empty batches — are replayed as version chains.
-//! After **every** batch, `DeltaCc`/`DeltaBfs` repair driven by the
-//! `diff_graphs` delta must equal the from-scratch recomputation on
-//! the new version. Every edge-set representation is covered, and one
-//! property re-runs histories across 1/2/4/8-worker pools, since the
-//! from-scratch side (`connected_components`, `bfs`) is parallel.
+//! Repair runs every `stride`-th version (and at the last), driven by
+//! the `diff_graphs` delta across the versions skipped since the last
+//! repair — the input the engine's repairer feeds when it falls behind
+//! — and must equal the from-scratch recomputation at each repaired
+//! version; stride 1 repairs after every batch. Every edge-set
+//! representation is covered, and one property re-runs histories
+//! across 1/2/4/8-worker pools, since the from-scratch side
+//! (`connected_components`, `bfs`) is parallel.
 
 use aspen_repro::algorithms::{self, connected_components, DeltaBfs, DeltaCc};
 use aspen_repro::aspen::{
@@ -53,34 +56,41 @@ fn bfs_oracle<E: EdgeSet>(g: &Graph<E>, src: u32) -> Vec<u32> {
 }
 
 /// Replays `ops` as a version chain and checks both repair algorithms
-/// against from-scratch recomputation **after every batch**.
+/// against from-scratch recomputation after every `stride`-th batch
+/// and after the last, each repair spanning every batch since the
+/// previous one.
 fn check_incremental<E: EdgeSet>(
     initial: &[(VertexId, VertexId)],
     ops: &[Op],
     cfg: E::Config,
     src: u32,
+    stride: usize,
 ) {
     let mut cur = Graph::<E>::from_edges(&sym(initial.to_vec()), cfg);
+    let mut repaired = cur.clone();
     let mut cc = DeltaCc::new(&cur);
     let mut bfs = DeltaBfs::new(&cur, src);
     assert_eq!(cc.labels(), connected_components(&cur).as_slice());
     assert_eq!(bfs.dist(), bfs_oracle(&cur, src).as_slice());
     for (i, op) in ops.iter().enumerate() {
-        let next = apply(&cur, op);
-        let diff = diff_graphs(&cur, &next);
-        cc.apply_diff(&diff, &next);
-        bfs.apply_diff(&diff, &next);
+        cur = apply(&cur, op);
+        if (i + 1) % stride != 0 && i + 1 != ops.len() {
+            continue;
+        }
+        let diff = diff_graphs(&repaired, &cur);
+        cc.apply_diff(&diff, &cur);
+        bfs.apply_diff(&diff, &cur);
         assert_eq!(
             cc.labels(),
-            connected_components(&next).as_slice(),
-            "CC diverged after batch {i}: {op:?}"
+            connected_components(&cur).as_slice(),
+            "CC diverged after batch {i} (stride {stride}): {op:?}"
         );
         assert_eq!(
             bfs.dist(),
-            bfs_oracle(&next, src).as_slice(),
-            "BFS diverged after batch {i}: {op:?}"
+            bfs_oracle(&cur, src).as_slice(),
+            "BFS diverged after batch {i} (stride {stride}): {op:?}"
         );
-        cur = next;
+        repaired = cur.clone();
     }
 }
 
@@ -109,8 +119,9 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..8),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
-        check_incremental::<UncompressedEdges>(&initial, &ops, (), src);
+        check_incremental::<UncompressedEdges>(&initial, &ops, (), src, stride);
     }
 
     #[test]
@@ -118,9 +129,10 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..8),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
         // Tiny chunks so batches cross chunk boundaries constantly.
-        check_incremental::<PlainEdges>(&initial, &ops, ChunkParams::with_b(4), src);
+        check_incremental::<PlainEdges>(&initial, &ops, ChunkParams::with_b(4), src, stride);
     }
 
     #[test]
@@ -128,8 +140,9 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..8),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
-        check_incremental::<CompressedEdges>(&initial, &ops, Default::default(), src);
+        check_incremental::<CompressedEdges>(&initial, &ops, Default::default(), src, stride);
     }
 
     #[test]
@@ -137,8 +150,9 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..8),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
-        check_incremental::<GammaEdges>(&initial, &ops, Default::default(), src);
+        check_incremental::<GammaEdges>(&initial, &ops, Default::default(), src, stride);
     }
 
     #[test]
@@ -146,8 +160,9 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..8),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
-        check_incremental::<IntervalEdges>(&initial, &ops, Default::default(), src);
+        check_incremental::<IntervalEdges>(&initial, &ops, Default::default(), src, stride);
     }
 
     #[test]
@@ -155,12 +170,13 @@ proptest! {
         initial in vec(edge_strategy(), 0..48),
         ops in vec(op_strategy(), 1..6),
         src in 0u32..56,
+        stride in 1usize..=4,
     ) {
         // The from-scratch side is parallel; the repaired answer must
         // be identical no matter how wide the pool is.
         for threads in [1usize, 2, 4, 8] {
             parlib::with_threads(threads, || {
-                check_incremental::<CompressedEdges>(&initial, &ops, Default::default(), src);
+                check_incremental::<CompressedEdges>(&initial, &ops, Default::default(), src, stride);
             });
         }
     }

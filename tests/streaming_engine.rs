@@ -7,7 +7,7 @@ use aspen::{CompressedEdges, Graph, VersionedGraph};
 use graphgen::{build_update_stream, Rmat, Update};
 use std::sync::Arc;
 use std::time::Duration;
-use stream::{analytics, BatchPolicy, StreamEngine};
+use stream::{analytics, BatchPolicy, StandingAnalytic, StreamEngine};
 
 type VG = VersionedGraph<CompressedEdges>;
 
@@ -219,7 +219,7 @@ fn standing_results_never_outrun_installed_versions() {
     });
 
     let report = engine.finish();
-    assert!(report.standing_repairs > 0, "writer never repaired");
+    assert!(report.standing_repairs > 0, "repairer never ran");
     assert!(report.batches_applied > 0);
 
     // After the drain the final published results reflect the last
@@ -231,6 +231,120 @@ fn standing_results_never_outrun_installed_versions() {
     let bfs = handles[1].read();
     assert_eq!(bfs.version, report.batches_applied);
     assert_eq!(*bfs.values, algorithms::bfs(&*g, 0).dist);
+}
+
+/// Standing cc that takes its time: the first repair waits on `gate`
+/// (so the test decides when repair may start), and every repair
+/// sleeps 20 ms before repairing for real.
+struct SlowCc {
+    inner: stream::standing::StandingCc,
+    gate: Option<std::sync::mpsc::Receiver<()>>,
+}
+
+impl StandingAnalytic<CompressedEdges> for SlowCc {
+    fn name(&self) -> &'static str {
+        "slow-cc"
+    }
+
+    fn init(&mut self, graph: &Graph<CompressedEdges>) -> Arc<Vec<u32>> {
+        self.inner.init(graph)
+    }
+
+    fn repair(
+        &mut self,
+        diff: &aspen::GraphDiff,
+        graph: &Graph<CompressedEdges>,
+    ) -> (Arc<Vec<u32>>, algorithms::RepairStats) {
+        if let Some(gate) = self.gate.take() {
+            // Err only if the test already dropped its sender.
+            let _ = gate.recv();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        self.inner.repair(diff, graph)
+    }
+
+    fn oracle(&self, graph: &Graph<CompressedEdges>) -> Vec<u32> {
+        self.inner.oracle(graph)
+    }
+}
+
+/// A slow standing analytic must not slow ingestion: the writer keeps
+/// installing while the repair lags behind, the repairer catches up by
+/// skipping to the newest version (fewer rounds than batches), result
+/// versions never go backwards, and shutdown drains the repairer to
+/// the final version.
+#[test]
+fn slow_standing_repair_does_not_hold_up_installs() {
+    let (vg, updates) = workload(2_000);
+    let (open_gate, gate) = std::sync::mpsc::channel();
+    let engine = StreamEngine::builder(vg.clone())
+        .policy(BatchPolicy {
+            max_batch: 64,
+            max_linger: Duration::from_micros(200),
+            channel_capacity: 1024,
+        })
+        .register_standing(SlowCc {
+            inner: stream::standing::connected_components(),
+            gate: Some(gate),
+        })
+        .start();
+    let cc = engine.standing("slow-cc").expect("registered");
+    let producer = {
+        let h = engine.handle();
+        std::thread::spawn(move || h.push_all(&updates).expect("engine closed early"))
+    };
+
+    let mut last = 0;
+    let mut read = || {
+        // Result first, counter second (see the torn-repair test).
+        let r = cc.read();
+        let installed = engine.installed_version();
+        assert!(
+            r.version <= installed,
+            "torn repair: v{} > v{installed}",
+            r.version
+        );
+        assert!(
+            r.version >= last,
+            "went backwards: v{} after v{last}",
+            r.version
+        );
+        last = r.version;
+        (r.version, installed)
+    };
+    // While the first repair is held at the gate, the writer must keep
+    // installing. Were repair on the install path, the counter would
+    // stop one version past the result.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let (version, installed) = read();
+        if installed >= version + 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "installs stalled behind the standing repair at v{installed}"
+        );
+        std::thread::yield_now();
+    }
+    open_gate.send(()).expect("repairer holds the gate");
+    while !producer.is_finished() {
+        read();
+        std::thread::yield_now();
+    }
+    producer.join().expect("producer panicked");
+    let report = engine.finish();
+
+    assert_eq!(report.updates_applied, 2_000);
+    let rounds = report.standing_diff.count;
+    assert!(
+        rounds < report.batches_applied,
+        "{rounds} rounds for {} batches: the repairer never skipped ahead",
+        report.batches_applied
+    );
+    let r = cc.read();
+    assert_eq!(r.version, report.batches_applied);
+    assert_eq!(*r.values, algorithms::connected_components(&*vg.acquire()));
 }
 
 /// A max-linger flush must make a lone update visible without waiting
