@@ -10,7 +10,7 @@ use aspen::{
     UncompressedEdges,
 };
 use baselines::CompressedCsr;
-use ctree::{ChunkCodec, DeltaCodec, GammaCodec, IntervalCodec, PlainCodec};
+use ctree::{ChunkCodec, DeltaCodec, IntervalCodec, PlainCodec};
 
 /// Table 1: statistics of the stand-in graphs.
 pub fn run_table1(datasets: &[Dataset]) -> Table {
@@ -190,7 +190,7 @@ fn codec_row<C: ChunkCodec>(t: &mut Table, dataset: &str, edges: &[(u32, u32)]) 
     );
 }
 
-/// `repro memory` — the codec axis: the Plain/Delta/Gamma/Interval
+/// `repro memory` — the codec axis: the Plain/Delta/Interval
 /// space–time frontier, measured per dataset. Bytes-per-edge counts all
 /// C-tree overhead (vertex tree, heads, chunk storage) against the
 /// directed edge count; decode-ns-per-edge is a full sequential
@@ -204,7 +204,6 @@ pub fn run_memory(datasets: &[Dataset]) -> Table {
         let edges = d.edges();
         codec_row::<PlainCodec>(&mut t, d.name, &edges);
         codec_row::<DeltaCodec>(&mut t, d.name, &edges);
-        codec_row::<GammaCodec>(&mut t, d.name, &edges);
         codec_row::<IntervalCodec>(&mut t, d.name, &edges);
     }
     t

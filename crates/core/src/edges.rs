@@ -14,7 +14,7 @@
 //! The graph layer is generic over [`EdgeSet`], so every experiment can
 //! swap representations without touching algorithm code.
 
-use ctree::{CTree, ChunkCodec, ChunkParams, DefaultCodec, GammaCodec, IntervalCodec, PlainCodec};
+use ctree::{CTree, ChunkCodec, ChunkParams, DefaultCodec, IntervalCodec, PlainCodec};
 use ptree::Tree;
 
 /// A vertex identifier. The paper's graphs have up to 3.5B vertices
@@ -179,9 +179,6 @@ pub type PlainEdges = CTreeEdges<PlainCodec>;
 /// codec matrix re-runs the whole suite per codec.
 pub type CompressedEdges = CTreeEdges<DefaultCodec>;
 
-/// C-tree chunks with Elias-γ bit-coded gaps.
-pub type GammaEdges = CTreeEdges<GammaCodec>;
-
 /// C-tree chunks with intervalized ζ₃ codes (WebGraph-style).
 pub type IntervalEdges = CTreeEdges<IntervalCodec>;
 
@@ -252,7 +249,6 @@ impl<C: ChunkCodec> EdgeSet for CTreeEdges<C> {
     fn repr_name() -> &'static str {
         match C::name() {
             "delta" => "ctree-delta",
-            "gamma" => "ctree-gamma",
             "interval" => "ctree-interval",
             _ => "ctree-plain",
         }
@@ -324,22 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn gamma_ctree_contract() {
-        check_edge_set::<GammaEdges>(ChunkParams::with_b(4));
-    }
-
-    #[test]
     fn interval_ctree_contract() {
         check_edge_set::<IntervalEdges>(ChunkParams::with_b(4));
     }
 
     #[test]
-    fn bit_codecs_compress_below_plain() {
+    fn interval_codec_compresses_below_plain() {
         let neighbors: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
         let plain = PlainEdges::from_sorted(&neighbors, ChunkParams::default());
-        let gamma = GammaEdges::from_sorted(&neighbors, ChunkParams::default());
         let interval = IntervalEdges::from_sorted(&neighbors, ChunkParams::default());
-        assert!(gamma.memory_bytes() < plain.memory_bytes());
         assert!(interval.memory_bytes() < plain.memory_bytes());
     }
 

@@ -61,13 +61,11 @@ mod snapshot;
 mod subset;
 mod versioned;
 mod view;
-mod weighted;
 
 pub use diff::{diff_graphs, diff_graphs_with_stats, DiffStats, GraphDiff};
 pub use edgemap::{edge_map, edge_map_directed, vertex_map, Direction};
 pub use edges::{
-    CTreeEdges, CompressedEdges, EdgeSet, GammaEdges, IntervalEdges, PlainEdges, UncompressedEdges,
-    VertexId,
+    CTreeEdges, CompressedEdges, EdgeSet, IntervalEdges, PlainEdges, UncompressedEdges, VertexId,
 };
 pub use flat::FlatSnapshot;
 pub use graph::{EdgeMeasure, Graph, VertexEntry, VertexTree};
@@ -76,7 +74,6 @@ pub use snapshot::{put_u32, put_u64, read_snapshot, ByteReader, SnapshotError, S
 pub use subset::VertexSubset;
 pub use versioned::{symmetrize, ApplyTiming, Version, VersionedGraph};
 pub use view::GraphView;
-pub use weighted::{WVertexEntry, WeightedEdge, WeightedGraph};
 
 // Re-export the chunk configuration so users tune `b` without a direct
 // `ctree` dependency.

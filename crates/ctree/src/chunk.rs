@@ -10,8 +10,6 @@
 //!
 //! * [`PlainCodec`] — a shared `u32` array ("Aspen (No DE)" in Table 2),
 //! * [`DeltaCodec`] — difference encoding + byte codes ("Aspen (DE)"),
-//! * [`GammaCodec`] — Elias-γ bit codes over the same gaps: unit gaps
-//!   cost 1 bit instead of 1 byte,
 //! * [`IntervalCodec`] — WebGraph-style intervalization + ζ₃ gap codes:
 //!   runs of ≥ [`MIN_RUN`] consecutive neighbours collapse to a
 //!   `(start, len)` pair, the dominant pattern in RMAT/social graphs.
@@ -48,9 +46,9 @@ const ZETA_K: u32 = 3;
 
 /// How a chunk stores its sorted elements.
 ///
-/// The four implementations below cover the speed/space frontier the
-/// `repro memory` experiment measures: plain words, byte codes, γ bit
-/// codes, and intervalized ζ codes.
+/// The three implementations below cover the speed/space frontier the
+/// `repro memory` experiment measures: plain words, byte codes, and
+/// intervalized ζ codes.
 pub trait ChunkCodec: Clone + Send + Sync + 'static {
     /// The payload type (always cheaply cloneable).
     type Storage: Clone + Send + Sync + 'static;
@@ -210,89 +208,6 @@ impl ChunkCodec for DeltaCodec {
         "delta"
     }
 }
-
-/// Elias-γ gap codes: each gap `g ≥ 1` costs `2⌊log₂ g⌋ + 1` bits.
-///
-/// The same difference encoding as [`DeltaCodec`], but paid in bits
-/// instead of bytes — a unit gap takes 1 bit, not 8. Decoding is a
-/// forward bit-walk (slower per element than byte codes), which is the
-/// speed/space trade the `repro memory` frontier quantifies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GammaCodec;
-
-impl ChunkCodec for GammaCodec {
-    type Storage = Arc<[u8]>;
-    type Iter<'a> = GammaIter<'a>;
-
-    fn encode(xs: &[u32]) -> Arc<[u8]> {
-        let mut w = BitWriter::new();
-        // The gap stream is anchored on the chunk header's cached
-        // `first`, so the first element costs γ(1) = 1 bit instead of
-        // re-encoding its full magnitude. `prev` tracks
-        // last-value-plus-one in 64 bits (gaps reach 2³² at u32::MAX).
-        let mut prev = xs.first().map_or(0, |&x| u64::from(x));
-        for &x in xs {
-            debug_assert!(
-                u64::from(x) + 1 > prev,
-                "chunk input not strictly increasing"
-            );
-            w.write_gamma(u64::from(x) + 1 - prev);
-            prev = u64::from(x) + 1;
-        }
-        w.finish().into()
-    }
-
-    #[inline]
-    fn iter(storage: &Arc<[u8]>, len: usize, first: u32) -> GammaIter<'_> {
-        GammaIter {
-            reader: BitReader::new(storage),
-            remaining: len,
-            prev: u64::from(first),
-        }
-    }
-
-    #[inline]
-    fn storage_bytes(storage: &Arc<[u8]>) -> usize {
-        storage.len()
-    }
-
-    #[inline]
-    fn storage_ptr_eq(a: &Arc<[u8]>, b: &Arc<[u8]>) -> bool {
-        Arc::ptr_eq(a, b)
-    }
-
-    fn name() -> &'static str {
-        "gamma"
-    }
-}
-
-/// Streaming decoder over [`GammaCodec`] storage.
-#[derive(Clone, Debug)]
-pub struct GammaIter<'a> {
-    reader: BitReader<'a>,
-    remaining: usize,
-    prev: u64,
-}
-
-impl Iterator for GammaIter<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.prev += self.reader.read_gamma();
-        Some((self.prev - 1) as u32)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for GammaIter<'_> {}
 
 /// Intervalized ζ gap codes (WebGraph's two key ideas, §SNIPPETS 1).
 ///
@@ -851,7 +766,6 @@ mod tests {
 
     type PChunk = Chunk<PlainCodec>;
     type DChunk = Chunk<DeltaCodec>;
-    type GChunk = Chunk<GammaCodec>;
     type IChunk = Chunk<IntervalCodec>;
 
     #[test]
@@ -879,19 +793,12 @@ mod tests {
         let xs: Vec<u32> = (0..200).map(|i| i * 17 + 3).collect();
         let p = PChunk::from_sorted(&xs);
         let d = DChunk::from_sorted(&xs);
-        let g = GChunk::from_sorted(&xs);
         let iv = IChunk::from_sorted(&xs);
         assert_eq!(p.to_vec(), xs);
         assert_eq!(d.to_vec(), xs);
-        assert_eq!(g.to_vec(), xs);
         assert_eq!(iv.to_vec(), xs);
         // delta should compress a regular sequence well below 4B/elem
         assert!(d.memory_bytes() < p.memory_bytes());
-        // γ wins on small gaps: gap 3 costs 3 bits vs a whole byte
-        let dense: Vec<u32> = (0..200).map(|i| i * 3).collect();
-        let dd = DChunk::from_sorted(&dense);
-        let gd = GChunk::from_sorted(&dense);
-        assert!(gd.memory_bytes() < dd.memory_bytes());
     }
 
     #[test]
@@ -899,12 +806,11 @@ mod tests {
         let xs: Vec<u32> = vec![0, 1, 2, 3, 4, 10, 11, 12, 13, 1000, u32::MAX];
         assert_eq!(PChunk::from_sorted(&xs).iter().collect::<Vec<_>>(), xs);
         assert_eq!(DChunk::from_sorted(&xs).iter().collect::<Vec<_>>(), xs);
-        assert_eq!(GChunk::from_sorted(&xs).iter().collect::<Vec<_>>(), xs);
         assert_eq!(IChunk::from_sorted(&xs).iter().collect::<Vec<_>>(), xs);
-        let g = GChunk::from_sorted(&xs);
-        assert_eq!(g.iter().len(), xs.len());
+        let iv = IChunk::from_sorted(&xs);
+        assert_eq!(iv.iter().len(), xs.len());
         let mut seen = Vec::new();
-        g.for_each(|x| seen.push(x));
+        iv.for_each(|x| seen.push(x));
         assert_eq!(seen, xs);
     }
 
@@ -935,20 +841,17 @@ mod tests {
         let xs: Vec<u32> = (0..300).map(|i| i * 3 + 7).collect();
         let p = PChunk::from_sorted(&xs);
         let d = DChunk::from_sorted(&xs);
-        let g = GChunk::from_sorted(&xs);
         let iv = IChunk::from_sorted(&xs);
         for probe in 0..1000u32 {
             let expect = xs.binary_search(&probe);
             assert_eq!(PlainCodec::search(&p.data, xs.len(), xs[0], probe), expect);
             assert_eq!(DeltaCodec::search(&d.data, xs.len(), xs[0], probe), expect);
-            assert_eq!(GammaCodec::search(&g.data, xs.len(), xs[0], probe), expect);
             assert_eq!(
                 IntervalCodec::search(&iv.data, xs.len(), xs[0], probe),
                 expect
             );
             assert_eq!(p.contains(probe), expect.is_ok());
             assert_eq!(d.contains(probe), expect.is_ok());
-            assert_eq!(g.contains(probe), expect.is_ok());
             assert_eq!(iv.contains(probe), expect.is_ok());
         }
     }
@@ -1015,9 +918,9 @@ mod tests {
         let b = DChunk::from_sorted(&[2, 3, 6]);
         assert_eq!(a.union(&b).to_vec(), vec![1, 2, 3, 5, 6]);
         assert_eq!(a.union(&DChunk::empty()).to_vec(), vec![1, 3, 5]);
-        let ga = GChunk::from_sorted(&[1, 3, 5]);
-        let gb = GChunk::from_sorted(&[2, 3, 6]);
-        assert_eq!(ga.union(&gb).to_vec(), vec![1, 2, 3, 5, 6]);
+        let ia = IChunk::from_sorted(&[1, 3, 5]);
+        let ib = IChunk::from_sorted(&[2, 3, 6]);
+        assert_eq!(ia.union(&ib).to_vec(), vec![1, 2, 3, 5, 6]);
     }
 
     #[test]
@@ -1044,8 +947,8 @@ mod tests {
     fn filter_keeps_predicate() {
         let a = DChunk::from_sorted(&[1, 2, 3, 4]);
         assert_eq!(a.filter(|x| x % 2 == 0).to_vec(), vec![2, 4]);
-        let g = GChunk::from_sorted(&[1, 2, 3, 4]);
-        assert_eq!(g.filter(|x| x % 2 == 1).to_vec(), vec![1, 3]);
+        let iv = IChunk::from_sorted(&[1, 2, 3, 4]);
+        assert_eq!(iv.filter(|x| x % 2 == 1).to_vec(), vec![1, 3]);
     }
 
     #[test]
@@ -1095,7 +998,6 @@ mod tests {
         for xs in &cases {
             assert_eq!(&PChunk::from_sorted(xs).to_vec(), xs);
             assert_eq!(&DChunk::from_sorted(xs).to_vec(), xs);
-            assert_eq!(&GChunk::from_sorted(xs).to_vec(), xs);
             assert_eq!(&IChunk::from_sorted(xs).to_vec(), xs);
         }
     }

@@ -46,14 +46,9 @@
 mod chunk;
 mod setops;
 mod tree;
-mod wtree;
 
-pub use chunk::{
-    Chunk, ChunkCodec, DeltaCodec, GammaCodec, GammaIter, IntervalCodec, IntervalIter, PlainCodec,
-    MIN_RUN,
-};
+pub use chunk::{Chunk, ChunkCodec, DeltaCodec, IntervalCodec, IntervalIter, PlainCodec, MIN_RUN};
 pub use tree::{CTree, ChunkParams, ElementCount, HeadTail, HeadTree};
-pub use wtree::{WCTree, WChunk, WElem, WHeadTail, Weight};
 
 /// The chunk codec used when a tree leaves its codec parameter to the
 /// default — selected at compile time by the `default-codec-*` cargo
@@ -62,18 +57,12 @@ pub use wtree::{WCTree, WChunk, WElem, WHeadTail, Weight};
 /// is [`DeltaCodec`], the paper's "Aspen (DE)" configuration.
 #[cfg(feature = "default-codec-plain")]
 pub type DefaultCodec = PlainCodec;
-#[cfg(all(feature = "default-codec-gamma", not(feature = "default-codec-plain")))]
-pub type DefaultCodec = GammaCodec;
 #[cfg(all(
     feature = "default-codec-interval",
-    not(any(feature = "default-codec-plain", feature = "default-codec-gamma"))
+    not(feature = "default-codec-plain")
 ))]
 pub type DefaultCodec = IntervalCodec;
-#[cfg(not(any(
-    feature = "default-codec-plain",
-    feature = "default-codec-gamma",
-    feature = "default-codec-interval"
-)))]
+#[cfg(not(any(feature = "default-codec-plain", feature = "default-codec-interval")))]
 pub type DefaultCodec = DeltaCodec;
 
 #[cfg(test)]

@@ -5,12 +5,9 @@
 //! tree, huge `b` to a single prefix chunk, and the interesting routing
 //! logic lives in between.
 
-use crate::{
-    CTree, Chunk, ChunkCodec, ChunkParams, DeltaCodec, GammaCodec, IntervalCodec, PlainCodec,
-    WCTree,
-};
+use crate::{CTree, Chunk, ChunkCodec, ChunkParams, DeltaCodec, IntervalCodec, PlainCodec};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 fn elems() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..2_000, 0..400).prop_map(|mut v| {
@@ -75,7 +72,6 @@ fn assert_codec_matches_oracle<C: ChunkCodec>(xs: &[u32], probes: &[u32]) {
 fn assert_all_codecs_match(xs: &[u32], probes: &[u32]) {
     assert_codec_matches_oracle::<PlainCodec>(xs, probes);
     assert_codec_matches_oracle::<DeltaCodec>(xs, probes);
-    assert_codec_matches_oracle::<GammaCodec>(xs, probes);
     assert_codec_matches_oracle::<IntervalCodec>(xs, probes);
 }
 
@@ -177,18 +173,18 @@ proptest! {
     }
 
     #[test]
-    fn gamma_and_interval_trees_agree_on_setops(xs in elems(), ys in elems(), b in bs()) {
+    fn interval_and_delta_trees_agree_on_setops(xs in elems(), ys in elems(), b in bs()) {
         let p = ChunkParams::with_b(b);
-        let du = CTree::<DeltaCodec>::from_sorted(&xs, p).union(&CTree::from_sorted(&ys, p));
-        let gu = CTree::<GammaCodec>::from_sorted(&xs, p).union(&CTree::from_sorted(&ys, p));
-        let iu = CTree::<IntervalCodec>::from_sorted(&xs, p).union(&CTree::from_sorted(&ys, p));
-        prop_assert_eq!(du.to_vec(), gu.to_vec());
-        prop_assert_eq!(gu.to_vec(), iu.to_vec());
-        gu.check_invariants();
-        iu.check_invariants();
-        let dd = CTree::<DeltaCodec>::from_sorted(&xs, p).difference(&CTree::from_sorted(&ys, p));
-        let id = CTree::<IntervalCodec>::from_sorted(&xs, p).difference(&CTree::from_sorted(&ys, p));
-        prop_assert_eq!(dd.to_vec(), id.to_vec());
+        let (da, db) = (CTree::<DeltaCodec>::from_sorted(&xs, p), CTree::from_sorted(&ys, p));
+        let (ia, ib) = (CTree::<IntervalCodec>::from_sorted(&xs, p), CTree::from_sorted(&ys, p));
+        for (d, i) in [
+            (da.union(&db), ia.union(&ib)),
+            (da.difference(&db), ia.difference(&ib)),
+            (da.intersect(&db), ia.intersect(&ib)),
+        ] {
+            prop_assert_eq!(d.to_vec(), i.to_vec());
+            i.check_invariants();
+        }
     }
 
     #[test]
@@ -221,55 +217,5 @@ proptest! {
         let snapshot = t.clone();
         let _new = t.multi_insert(batch);
         prop_assert_eq!(snapshot.to_vec(), xs);
-    }
-
-    #[test]
-    fn weighted_build_and_get(xs in elems(), b in bs()) {
-        let pairs: Vec<(u32, u32)> = xs.iter().map(|&x| (x, x.wrapping_mul(3) + 1)).collect();
-        let t = WCTree::from_sorted(&pairs, ChunkParams::with_b(b));
-        prop_assert_eq!(t.to_vec(), pairs.clone());
-        prop_assert_eq!(t.len(), pairs.len());
-        for &(id, w) in pairs.iter().take(20) {
-            prop_assert_eq!(t.get(id), Some(w));
-        }
-        t.check_invariants();
-    }
-
-    #[test]
-    fn weighted_union_matches_map_oracle(xs in elems(), ys in elems(), b in bs()) {
-        let p = ChunkParams::with_b(b);
-        let ax: Vec<(u32, u32)> = xs.iter().map(|&x| (x, x + 1)).collect();
-        let by: Vec<(u32, u32)> = ys.iter().map(|&y| (y, 2 * y + 5)).collect();
-        let u = WCTree::from_sorted(&ax, p).union(&WCTree::from_sorted(&by, p), |a, c| a.min(c));
-        let mut oracle: BTreeMap<u32, u32> = ax.into_iter().collect();
-        for (id, w) in by {
-            oracle.entry(id).and_modify(|v| *v = (*v).min(w)).or_insert(w);
-        }
-        prop_assert_eq!(u.to_vec(), oracle.into_iter().collect::<Vec<_>>());
-        u.check_invariants();
-    }
-
-    #[test]
-    fn weighted_difference_matches_oracle(xs in elems(), kill in elems(), b in bs()) {
-        let p = ChunkParams::with_b(b);
-        let pairs: Vec<(u32, u32)> = xs.iter().map(|&x| (x, x ^ 7)).collect();
-        let t = WCTree::from_sorted(&pairs, p);
-        let d = t.difference(&CTree::from_sorted(&kill, p));
-        let ks: BTreeSet<u32> = kill.iter().copied().collect();
-        let oracle: Vec<(u32, u32)> = pairs.into_iter().filter(|(id, _)| !ks.contains(id)).collect();
-        prop_assert_eq!(d.to_vec(), oracle);
-        d.check_invariants();
-    }
-
-    #[test]
-    fn weighted_split_partitions(xs in elems(), b in bs(), k in 0u32..2_000) {
-        let pairs: Vec<(u32, u32)> = xs.iter().map(|&x| (x, x + 9)).collect();
-        let t = WCTree::from_sorted(&pairs, ChunkParams::with_b(b));
-        let (lo, found, hi) = t.split(k);
-        prop_assert_eq!(lo.to_vec(), pairs.iter().copied().filter(|&(id, _)| id < k).collect::<Vec<_>>());
-        prop_assert_eq!(hi.to_vec(), pairs.iter().copied().filter(|&(id, _)| id > k).collect::<Vec<_>>());
-        prop_assert_eq!(found.is_some(), xs.binary_search(&k).is_ok());
-        lo.check_invariants();
-        hi.check_invariants();
     }
 }

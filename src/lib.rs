@@ -15,7 +15,7 @@
 //! | [`ctree`] | `aspen-ctree` | the C-tree (paper §3–4) |
 //! | [`aspen`] | `aspen` | graph + versions + edgeMap (§5–6) |
 //! | [`stream`] | `aspen-stream` | concurrent ingestion engine: adaptive batching, live analytics (§7.4) |
-//! | [`algorithms`] | `aspen-algorithms` | BFS, BC, MIS, 2-hop, Local-Cluster, CC, PageRank, k-core (§7) |
+//! | [`algorithms`] | `aspen-algorithms` | BFS, BC, MIS, 2-hop, Local-Cluster (§7); CC, PageRank |
 //! | [`baselines`] | `aspen-baselines` | CSR, compressed CSR, Stinger-like, LLAMA-like |
 //! | [`graphgen`] | `aspen-graphgen` | rMAT / Erdős–Rényi / update streams |
 //! | [`ptree`] | `aspen-ptree` | purely-functional treaps (PAM-equivalent) |

@@ -14,8 +14,8 @@
 //! contribute zero added/removed edges.
 
 use aspen_repro::aspen::{
-    diff_graphs, diff_graphs_with_stats, CompressedEdges, EdgeSet, GammaEdges, Graph, GraphDiff,
-    IntervalEdges, PlainEdges, UncompressedEdges, VertexId,
+    diff_graphs, diff_graphs_with_stats, CompressedEdges, EdgeSet, Graph, GraphDiff, IntervalEdges,
+    PlainEdges, UncompressedEdges, VertexId,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -155,14 +155,6 @@ proptest! {
         ops in vec(op_strategy(), 1..6),
     ) {
         check_history::<CompressedEdges>(&initial, &ops, Default::default());
-    }
-
-    #[test]
-    fn matches_oracle_gamma(
-        initial in vec(edge_strategy(), 0..64),
-        ops in vec(op_strategy(), 1..6),
-    ) {
-        check_history::<GammaEdges>(&initial, &ops, Default::default());
     }
 
     #[test]

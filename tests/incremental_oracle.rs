@@ -14,8 +14,8 @@
 
 use aspen_repro::algorithms::{self, connected_components, DeltaBfs, DeltaCc};
 use aspen_repro::aspen::{
-    diff_graphs, ChunkParams, CompressedEdges, EdgeSet, GammaEdges, Graph, GraphView,
-    IntervalEdges, PlainEdges, UncompressedEdges, VertexId,
+    diff_graphs, ChunkParams, CompressedEdges, EdgeSet, Graph, GraphView, IntervalEdges,
+    PlainEdges, UncompressedEdges, VertexId,
 };
 use aspen_repro::parlib;
 use proptest::collection::vec;
@@ -143,16 +143,6 @@ proptest! {
         stride in 1usize..=4,
     ) {
         check_incremental::<CompressedEdges>(&initial, &ops, Default::default(), src, stride);
-    }
-
-    #[test]
-    fn repair_matches_recompute_gamma(
-        initial in vec(edge_strategy(), 0..48),
-        ops in vec(op_strategy(), 1..8),
-        src in 0u32..56,
-        stride in 1usize..=4,
-    ) {
-        check_incremental::<GammaEdges>(&initial, &ops, Default::default(), src, stride);
     }
 
     #[test]
