@@ -44,9 +44,10 @@ impl<E: EdgeSet> FlatSnapshot<E> {
     /// One flat snapshot over several graphs that partition the
     /// out-edges of one logical graph by source vertex — the shards of
     /// a sharded engine, where every vertex's whole adjacency list
-    /// lives in its owner shard. A vertex may be *present* in several
-    /// of them (a shard creates an edgeless entry for every target it
-    /// mentions); the slot takes the one entry that has edges.
+    /// lives in its owner shard. A shard holds only the vertices it
+    /// owns, but shards built by older versions also hold an edgeless
+    /// entry for every target they mention; such an entry never
+    /// displaces one with edges, so those still merge correctly.
     ///
     /// # Panics
     ///
@@ -146,6 +147,7 @@ mod tests {
     use super::*;
     use crate::edges::CompressedEdges;
     use crate::shard::ShardRouter;
+    use crate::versioned::symmetrize;
     use ctree::ChunkParams;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -284,29 +286,42 @@ mod tests {
         let _ = FlatSnapshot::merged(&[&a, &b]);
     }
 
+    #[test]
+    fn edgeless_target_entries_never_displace_adjacency() {
+        // Shards from older builds: each holds an edgeless entry for
+        // the target it mentions, in either order of the merge.
+        let a = G::from_edges(&[(1, 2)], ChunkParams::default());
+        let b = G::from_edges(&[(2, 1)], ChunkParams::default());
+        for parts in [[&a, &b], [&b, &a]] {
+            let snap = FlatSnapshot::merged(&parts);
+            assert_eq!((snap.neighbors(1), snap.neighbors(2)), (vec![2], vec![1]));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Shards built and updated the way a sharded engine does it —
-        /// each arc in its source's owner shard, targets present there
-        /// as edgeless vertices — merge into the unsharded snapshot.
+        /// each arc of a symmetric list in its source's owner shard,
+        /// sources only — merge into the unsharded snapshot.
         #[test]
         fn merged_matches_the_unsharded_snapshot(
-            arcs in vec((0u32..48, 0u32..48), 0..120),
-            deleted in 0usize..60,
+            edges in vec((0u32..48, 0u32..48), 0..60),
+            deleted in 0usize..30,
             shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
             by_range in any::<bool>(),
         ) {
             // A range span past every id leaves the last shards empty.
             let router = if by_range { ShardRouter::range(shards, 64) } else { ShardRouter::hash(shards) };
-            let deleted = &arcs[..deleted.min(arcs.len())];
+            let arcs = symmetrize(&edges);
+            let deleted = &symmetrize(&edges[..deleted.min(edges.len())]);
             let own = |k: usize, arcs: &[(u32, u32)]| -> Vec<(u32, u32)> {
                 arcs.iter().copied().filter(|&(u, _)| router.shard_of(u) == k).collect()
             };
             let cfg = ChunkParams::with_b(4);
             let whole = G::from_edges(&arcs, cfg).delete_edges(deleted);
             let parts: Vec<G> = (0..shards)
-                .map(|k| G::from_edges(&own(k, &arcs), cfg).delete_edges(&own(k, deleted)))
+                .map(|k| G::from_arcs(&own(k, &arcs), cfg).delete_edges(&own(k, deleted)))
                 .collect();
             let want = FlatSnapshot::new(&whole);
             let got = FlatSnapshot::merged(&parts.iter().collect::<Vec<_>>());

@@ -117,30 +117,22 @@ impl<E: EdgeSet> Graph<E> {
     /// of all endpoints, so every mentioned vertex exists even with
     /// zero out-edges.
     pub fn from_edges(edges: &[(VertexId, VertexId)], cfg: E::Config) -> Self {
-        let mut sorted: Vec<(VertexId, VertexId)> = edges.to_vec();
-        sorted.par_sort_unstable();
-        sorted.dedup();
-        // Collect every endpoint so isolated/sink vertices exist too.
-        let mut all_ids: Vec<VertexId> = sorted.iter().flat_map(|&(u, v)| [u, v]).collect();
-        all_ids.par_sort_unstable();
-        all_ids.dedup();
+        let sorted = sorted_arcs(edges);
+        Self::from_sorted_arcs(&sorted, cfg).insert_missing_targets(&sorted)
+    }
 
-        let mut entries: Vec<VertexEntry<E>> = Vec::with_capacity(all_ids.len());
-        let mut edge_idx = 0usize;
-        for &id in &all_ids {
-            let start = edge_idx;
-            while edge_idx < sorted.len() && sorted[edge_idx].0 == id {
-                edge_idx += 1;
-            }
-            let neighbors: Vec<VertexId> =
-                sorted[start..edge_idx].iter().map(|&(_, v)| v).collect();
-            entries.push(VertexEntry {
-                id,
-                edges: E::from_sorted(&neighbors, cfg),
-            });
-        }
+    /// Builds a graph holding exactly the **sources** of `arcs`: like
+    /// [`from_edges`](Self::from_edges) without the target pass, so an
+    /// id that only appears as a target gets no vertex entry. This is
+    /// how a shard of a sharded engine is built — a target's entry
+    /// lives in its owner shard, where the mirror arc makes it a source.
+    pub fn from_arcs(arcs: &[(VertexId, VertexId)], cfg: E::Config) -> Self {
+        Self::from_sorted_arcs(&sorted_arcs(arcs), cfg)
+    }
+
+    fn from_sorted_arcs(sorted: &[(VertexId, VertexId)], cfg: E::Config) -> Self {
         Graph {
-            vertices: Tree::from_sorted(&entries),
+            vertices: Tree::from_sorted(&source_entries(sorted, cfg)),
             cfg,
         }
     }
@@ -215,9 +207,8 @@ impl<E: EdgeSet> Graph<E> {
     }
 
     /// Inserts a batch of **directed** edges (the paper's
-    /// `InsertEdges`, §5 "Batch Updates"): sort the batch, build an
-    /// edge set per source, and `MultiInsert` into the vertex tree with
-    /// `Union` as the combiner. Missing endpoints are created.
+    /// `InsertEdges`, §5 "Batch Updates"): [`insert_arcs`](Self::insert_arcs),
+    /// then an edgeless vertex for every target that is still missing.
     ///
     /// `O(k log n)` work for a batch of `k` onto a graph of `n`
     /// vertices.
@@ -225,50 +216,57 @@ impl<E: EdgeSet> Graph<E> {
         if batch.is_empty() {
             return self.clone();
         }
-        let cfg = self.cfg;
-        let mut sorted: Vec<(VertexId, VertexId)> = batch.to_vec();
-        sorted.par_sort_unstable();
-        sorted.dedup();
-        let mut entries: Vec<VertexEntry<E>> = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let src = sorted[i].0;
-            let start = i;
-            while i < sorted.len() && sorted[i].0 == src {
-                i += 1;
-            }
-            let neighbors: Vec<VertexId> = sorted[start..i].iter().map(|&(_, v)| v).collect();
-            entries.push(VertexEntry {
-                id: src,
-                edges: E::from_sorted(&neighbors, cfg),
-            });
+        let sorted = sorted_arcs(batch);
+        self.insert_sorted_arcs(&sorted)
+            .insert_missing_targets(&sorted)
+    }
+
+    /// Inserts a batch of directed arcs without the destination pass:
+    /// sort the batch, build an edge set per source, and `MultiInsert`
+    /// into the vertex tree with `Union` as the combiner. Missing
+    /// sources are created; a target that is not a source gets no
+    /// entry (see [`from_arcs`](Self::from_arcs)).
+    pub fn insert_arcs(&self, batch: &[(VertexId, VertexId)]) -> Self {
+        if batch.is_empty() {
+            return self.clone();
         }
-        // Destination-only endpoints must exist as vertices as well.
-        // Endpoints that are batch sources are covered by the main
-        // MultiInsert; of the rest, only genuinely new ids need a pass.
-        let mut endpoints: Vec<VertexId> = sorted.iter().map(|&(_, v)| v).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let dst_entries: Vec<VertexEntry<E>> = endpoints
-            .into_iter()
-            .filter(|&id| {
-                entries.binary_search_by_key(&id, |e| e.id).is_err() && !self.contains_vertex(id)
-            })
-            .map(|id| VertexEntry {
-                id,
-                edges: E::empty(cfg),
-            })
-            .collect();
-        let vertices = self.vertices.multi_insert(entries, |old, new| VertexEntry {
-            id: old.id,
-            edges: old.edges.union(&new.edges),
+        self.insert_sorted_arcs(&sorted_arcs(batch))
+    }
+
+    fn insert_sorted_arcs(&self, sorted: &[(VertexId, VertexId)]) -> Self {
+        let vertices = self
+            .vertices
+            .multi_insert(source_entries(sorted, self.cfg), |old, new| VertexEntry {
+                id: old.id,
+                edges: old.edges.union(&new.edges),
+            });
+        Graph {
+            vertices,
+            cfg: self.cfg,
+        }
+    }
+
+    /// Creates an edgeless vertex for every target of `sorted` (sorted,
+    /// deduplicated arcs already inserted into `self`) that has no
+    /// entry yet. Targets that are also sources of the batch exist by
+    /// now, so only the rest cost a tree lookup.
+    fn insert_missing_targets(&self, sorted: &[(VertexId, VertexId)]) -> Self {
+        let mut targets: Vec<VertexId> = sorted.iter().map(|&(_, v)| v).collect();
+        targets.par_sort_unstable();
+        targets.dedup();
+        let mut src = 0;
+        targets.retain(|&v| {
+            while src < sorted.len() && sorted[src].0 < v {
+                src += 1;
+            }
+            let is_source = src < sorted.len() && sorted[src].0 == v;
+            !is_source && !self.contains_vertex(v)
         });
-        let vertices = if dst_entries.is_empty() {
-            vertices
+        if targets.is_empty() {
+            self.clone()
         } else {
-            vertices.multi_insert(dst_entries, |old, _new| old.clone())
-        };
-        Graph { vertices, cfg }
+            self.insert_vertices(&targets)
+        }
     }
 
     /// Deletes a batch of **directed** edges (`DeleteEdges`): like
@@ -279,34 +277,18 @@ impl<E: EdgeSet> Graph<E> {
         if batch.is_empty() {
             return self.clone();
         }
-        let cfg = self.cfg;
-        let mut sorted: Vec<(VertexId, VertexId)> = batch.to_vec();
-        sorted.par_sort_unstable();
-        sorted.dedup();
-        let mut entries: Vec<VertexEntry<E>> = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let src = sorted[i].0;
-            let start = i;
-            while i < sorted.len() && sorted[i].0 == src {
-                i += 1;
-            }
-            // A source absent from the graph has nothing to delete;
-            // filtering here keeps MultiInsert from inserting it.
-            if !self.contains_vertex(src) {
-                continue;
-            }
-            let neighbors: Vec<VertexId> = sorted[start..i].iter().map(|&(_, v)| v).collect();
-            entries.push(VertexEntry {
-                id: src,
-                edges: E::from_sorted(&neighbors, cfg),
-            });
-        }
+        let mut entries = source_entries(&sorted_arcs(batch), self.cfg);
+        // A source absent from the graph has nothing to delete;
+        // filtering here keeps MultiInsert from inserting it.
+        entries.retain(|e| self.contains_vertex(e.id));
         let vertices = self.vertices.multi_insert(entries, |old, new| VertexEntry {
             id: old.id,
             edges: old.edges.difference(&new.edges),
         });
-        Graph { vertices, cfg }
+        Graph {
+            vertices,
+            cfg: self.cfg,
+        }
     }
 
     /// Inserts vertices with empty adjacency sets (`InsertVertices`).
@@ -376,6 +358,36 @@ impl<E: EdgeSet> Graph<E> {
     }
 }
 
+/// `batch` sorted by `(source, target)` with duplicates removed.
+fn sorted_arcs(batch: &[(VertexId, VertexId)]) -> Vec<(VertexId, VertexId)> {
+    let mut sorted = batch.to_vec();
+    sorted.par_sort_unstable();
+    sorted.dedup();
+    sorted
+}
+
+/// One vertex entry per source of `sorted` (as [`sorted_arcs`] returns
+/// it), holding that source's targets.
+fn source_entries<E: EdgeSet>(
+    sorted: &[(VertexId, VertexId)],
+    cfg: E::Config,
+) -> Vec<VertexEntry<E>> {
+    let targets: Vec<VertexId> = sorted.iter().map(|&(_, v)| v).collect();
+    let mut entries = Vec::new();
+    let mut i = 0;
+    while i < sorted.len() {
+        let (id, start) = (sorted[i].0, i);
+        while i < sorted.len() && sorted[i].0 == id {
+            i += 1;
+        }
+        entries.push(VertexEntry {
+            id,
+            edges: E::from_sorted(&targets[start..i], cfg),
+        });
+    }
+    entries
+}
+
 impl<E: EdgeSet> GraphView for Graph<E> {
     fn id_bound(&self) -> usize {
         self.max_vertex_id().map_or(0, |m| m as usize + 1)
@@ -441,6 +453,23 @@ mod tests {
         let g = G::from_edges(&[(1, 5)], ChunkParams::default());
         assert!(g.contains_vertex(5));
         assert_eq!(g.degree(5), 0);
+    }
+
+    #[test]
+    fn arc_inserts_create_sources_only() {
+        let g = G::from_arcs(&[(1, 5), (1, 2), (2, 1)], ChunkParams::default());
+        assert_eq!(g.vertex_ids(), vec![1, 2], "no entry for target-only 5");
+        assert_eq!(g.num_edges(), 3);
+        let arcs = g.insert_arcs(&[(3, 9), (1, 7)]);
+        assert_eq!(arcs.vertex_ids(), vec![1, 2, 3]);
+        assert!(arcs.contains_edge(3, 9) && arcs.contains_edge(1, 7));
+        arcs.check_invariants();
+        // The same batch through insert_edges materialises its targets.
+        let edges = g.insert_edges(&[(3, 9), (1, 7)]);
+        assert_eq!(edges.vertex_ids(), vec![1, 2, 3, 7, 9]);
+        assert_eq!(edges.num_edges(), arcs.num_edges());
+        assert_eq!(edges.degree(9), 0);
+        edges.check_invariants();
     }
 
     #[test]

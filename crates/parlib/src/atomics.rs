@@ -26,20 +26,6 @@ pub fn write_min_u32(slot: &AtomicU32, val: u32) -> bool {
     false
 }
 
-/// Atomically raises `slot` to `val` if `val` is larger; returns `true`
-/// iff the stored value strictly increased.
-#[inline]
-pub fn write_max_u32(slot: &AtomicU32, val: u32) -> bool {
-    let mut cur = slot.load(Ordering::Relaxed);
-    while val > cur {
-        match slot.compare_exchange_weak(cur, val, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
-}
-
 /// An `f64` supporting atomic load/store/add via bit-level CAS.
 ///
 /// Betweenness centrality accumulates floating-point dependency scores
@@ -110,15 +96,6 @@ mod tests {
             write_min_u32(&a, 1000 - i);
         });
         assert_eq!(a.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn write_max_converges_to_maximum() {
-        let a = AtomicU32::new(0);
-        (0..1000u32).into_par_iter().for_each(|i| {
-            write_max_u32(&a, i);
-        });
-        assert_eq!(a.load(Ordering::Relaxed), 999);
     }
 
     #[test]

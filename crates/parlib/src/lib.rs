@@ -37,7 +37,7 @@ pub mod bitset;
 pub mod hash;
 pub mod scan;
 
-pub use atomics::{write_max_u32, write_min_u32, AtomicF64};
+pub use atomics::{write_min_u32, AtomicF64};
 pub use bitset::AtomicBitset;
 pub use hash::{hash64, hash64_with_seed, mix64};
 pub use scan::{filter_indices, pack, scan, scan_inplace};

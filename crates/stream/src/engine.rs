@@ -89,12 +89,14 @@ impl<E: EdgeSet> StreamEngineBuilder<E> {
         self
     }
 
-    /// Treats every pushed update as a **directed arc** applied as-is:
-    /// the writer neither symmetrizes nor coalesces opposite
-    /// orientations together. This is how the sharded engine runs its
-    /// per-shard engines — each undirected edge's two arcs live in the
-    /// two endpoint owners' shards, so symmetrizing locally would
-    /// fabricate arcs the shard does not own.
+    /// Treats every pushed update as a **directed arc** applied as-is
+    /// ([`aspen::Graph::insert_arcs`]): the writer neither symmetrizes
+    /// nor coalesces opposite orientations together, and a target gets
+    /// no vertex entry of its own. This is how the sharded engine runs
+    /// its per-shard engines — each undirected edge's two arcs live in
+    /// the two endpoint owners' shards, so symmetrizing locally would
+    /// fabricate arcs the shard does not own, and a target's entry
+    /// belongs to its owner shard.
     pub fn directed_arcs(mut self, on: bool) -> Self {
         self.directed_arcs = on;
         self

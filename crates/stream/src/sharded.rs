@@ -426,7 +426,7 @@ impl<E: EdgeSet> ShardedEngineBuilder<E> {
             }
             None => partition_arcs(&self.initial_arcs, shards, |v| router.shard_of(v))
                 .into_iter()
-                .map(|arcs| Graph::from_edges(&arcs, self.cfg))
+                .map(|arcs| Graph::from_arcs(&arcs, self.cfg))
                 .collect(),
         };
         let first_seqs = self.first_seqs.unwrap_or_else(|| vec![0; shards]);
@@ -1076,7 +1076,7 @@ mod tests {
         // Shard 1 of a range router over 0..8 owns 4..8; hand it 0's arc.
         let router = ShardRouter::range(2, 8);
         let shard = |arcs: &[(u32, u32)]| {
-            Arc::new(Graph::<CompressedEdges>::from_edges(
+            Arc::new(Graph::<CompressedEdges>::from_arcs(
                 arcs,
                 Default::default(),
             ))

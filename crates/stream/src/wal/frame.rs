@@ -10,7 +10,10 @@
 //! coalesced net batch (`seq`, insert pairs, delete pairs — exactly
 //! what one version install applies); kind [`KIND_EPOCH`] is a marker
 //! a shard writer appends after flushing every batch of an epoch, so
-//! sharded recovery can cut the per-shard logs at a common epoch.
+//! sharded recovery can cut the per-shard logs at a common epoch. The
+//! marker carries the epoch and the seq of the last batch frame written
+//! before it; markers from older logs carry only the epoch and decode
+//! with `last_seq` 0.
 //!
 //! A scanner reading a segment stops at the first frame that is
 //! truncated, fails its CRC, or does not decode — everything before
@@ -72,9 +75,12 @@ pub enum WalRecord {
         inserts: Vec<(u32, u32)>,
         deletes: Vec<(u32, u32)>,
     },
-    /// "Every batch of epoch `e` routed to this shard is in the log
-    /// before this point."
-    Epoch(u64),
+    /// "Every batch of epoch `epoch` routed to this shard is in the
+    /// log before this point, and the last of them has seq `last_seq`."
+    /// A marker only proves its epoch if the log really holds every
+    /// batch through `last_seq` — a write lost before the marker
+    /// leaves no later batch frame to show the gap.
+    Epoch { epoch: u64, last_seq: u64 },
 }
 
 impl WalRecord {
@@ -91,9 +97,10 @@ impl WalRecord {
                 put_pairs(inserts, out);
                 put_pairs(deletes, out);
             }
-            WalRecord::Epoch(e) => {
+            WalRecord::Epoch { epoch, last_seq } => {
                 out.push(KIND_EPOCH);
-                put_u64(*e, out);
+                put_u64(*epoch, out);
+                put_u64(*last_seq, out);
             }
         }
     }
@@ -113,7 +120,12 @@ impl WalRecord {
                     deletes,
                 }
             }
-            KIND_EPOCH => WalRecord::Epoch(r.u64v()?),
+            KIND_EPOCH => {
+                let epoch = r.u64v()?;
+                // Markers written before `last_seq` existed end here.
+                let last_seq = if r.is_empty() { 0 } else { r.u64v()? };
+                WalRecord::Epoch { epoch, last_seq }
+            }
             _ => return None,
         };
         if !r.is_empty() {
@@ -224,13 +236,19 @@ mod tests {
                 inserts: vec![(0, 1), (5, 9)],
                 deletes: vec![],
             },
-            WalRecord::Epoch(1),
+            WalRecord::Epoch {
+                epoch: 1,
+                last_seq: 1,
+            },
             WalRecord::Batch {
                 seq: 2,
                 inserts: vec![],
                 deletes: vec![(5, 9)],
             },
-            WalRecord::Epoch(2),
+            WalRecord::Epoch {
+                epoch: 2,
+                last_seq: 2,
+            },
         ]
     }
 
@@ -250,6 +268,20 @@ mod tests {
         assert!(!scan.is_torn());
         let got: Vec<WalRecord> = scan.records.into_iter().map(|(r, _)| r).collect();
         assert_eq!(got, records);
+    }
+
+    #[test]
+    fn markers_without_a_seq_still_decode() {
+        // An epoch marker as logs before `last_seq` wrote it.
+        let mut payload = vec![KIND_EPOCH];
+        put_u64(7, &mut payload);
+        assert_eq!(
+            WalRecord::decode(&payload),
+            Some(WalRecord::Epoch {
+                epoch: 7,
+                last_seq: 0
+            })
+        );
     }
 
     #[test]

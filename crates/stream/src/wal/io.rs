@@ -9,10 +9,10 @@
 //! fsync on the real filesystem). Recovery code relies on exactly this
 //! contract and nothing stronger.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Joins a directory and a file name with `/` (paths are plain strings
@@ -353,7 +353,11 @@ struct FailCtl {
     mem: Arc<MemIo>,
     ops: AtomicU64,
     points: Mutex<Vec<Failpoint>>,
-    crashed: AtomicBool,
+    /// Whether the disk is gone. Every write op holds the read side
+    /// for its whole duration, so a crash fired by one writer thread
+    /// lands between another thread's ops, never between its check and
+    /// its write (where it would delete the file being appended to).
+    crashed: RwLock<bool>,
 }
 
 impl FailCtl {
@@ -365,8 +369,16 @@ impl FailCtl {
         Some(pts.swap_remove(hit).fault)
     }
 
+    /// A guard to hold across one write op, or `None` once crashed
+    /// (the op then silently does nothing).
+    fn live(&self) -> Option<RwLockReadGuard<'_, bool>> {
+        let crashed = self.crashed.read();
+        (!*crashed).then_some(crashed)
+    }
+
     fn crash(&self) {
-        self.crashed.store(true, Ordering::SeqCst);
+        let mut crashed = self.crashed.write();
+        *crashed = true;
         self.mem.crash();
     }
 }
@@ -387,7 +399,7 @@ impl FailpointIo {
             mem: Arc::clone(&mem),
             ops: AtomicU64::new(0),
             points: Mutex::new(Vec::new()),
-            crashed: AtomicBool::new(false),
+            crashed: RwLock::new(false),
         });
         FailpointIo { mem, ctl }
     }
@@ -400,7 +412,7 @@ impl FailpointIo {
     /// Whether a [`Fault::CrashHard`] has fired (or
     /// [`crash`](Self::crash) was called).
     pub fn crashed(&self) -> bool {
-        self.ctl.crashed.load(Ordering::SeqCst)
+        *self.ctl.crashed.read()
     }
 
     /// Write operations observed so far.
@@ -438,12 +450,13 @@ struct FailpointFile {
 
 impl WalFile for FailpointFile {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(live) = self.ctl.live() else {
             return Ok(()); // disk is gone; writes vanish silently
-        }
+        };
         match self.ctl.next_op_fault() {
             None => self.inner.append(bytes),
             Some(Fault::CrashHard) => {
+                drop(live);
                 self.ctl.crash();
                 Ok(())
             }
@@ -455,9 +468,9 @@ impl WalFile for FailpointFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(_live) = self.ctl.live() else {
             return Ok(());
-        }
+        };
         self.inner.sync()
     }
 
@@ -468,9 +481,9 @@ impl WalFile for FailpointFile {
 
 impl WalIo for FailpointIo {
     fn create_dir_all(&self, dir: &str) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(_live) = self.ctl.live() else {
             return Ok(());
-        }
+        };
         self.mem.create_dir_all(dir)
     }
 
@@ -491,12 +504,13 @@ impl WalIo for FailpointIo {
     }
 
     fn atomic_write(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(live) = self.ctl.live() else {
             return Ok(());
-        }
+        };
         match self.ctl.next_op_fault() {
             None => self.mem.atomic_write(path, bytes),
             Some(Fault::CrashHard) => {
+                drop(live);
                 self.ctl.crash();
                 Ok(())
             }
@@ -513,16 +527,16 @@ impl WalIo for FailpointIo {
     }
 
     fn truncate(&self, path: &str, len: u64) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(_live) = self.ctl.live() else {
             return Ok(());
-        }
+        };
         self.mem.truncate(path, len)
     }
 
     fn remove(&self, path: &str) -> io::Result<()> {
-        if self.ctl.crashed.load(Ordering::SeqCst) {
+        let Some(_live) = self.ctl.live() else {
             return Ok(());
-        }
+        };
         self.mem.remove(path)
     }
 }

@@ -156,9 +156,14 @@ impl WalWriter {
         self.append_record(&rec, seq)
     }
 
-    /// Appends an epoch-complete marker (sharded engines).
+    /// Appends an epoch-complete marker (sharded engines), stamped
+    /// with the seq of the last batch appended before it.
     pub fn append_epoch(&mut self, epoch: u64) -> Result<AppendOutcome, WalError> {
-        self.append_record(&WalRecord::Epoch(epoch), self.next_seq)
+        let marker = WalRecord::Epoch {
+            epoch,
+            last_seq: self.next_seq - 1,
+        };
+        self.append_record(&marker, self.next_seq)
     }
 
     fn append_record(&mut self, rec: &WalRecord, name_seq: u64) -> Result<AppendOutcome, WalError> {

@@ -5,12 +5,12 @@
 //! (and truncating) the first torn frame.
 //!
 //! Sharded recovery must additionally land every shard on the **same
-//! epoch cut**. Each shard writer appends an epoch marker after
-//! flushing the epoch's batches, so a shard's durable log proves
-//! completeness through its last marker; a manifest proves
-//! completeness through its checkpoint epoch even when the marker
-//! itself was lost. Recovery takes the *minimum* complete epoch `E`
-//! across shards, replays each shard through its marker for `E`, and
+//! epoch cut**. Each shard writer appends an epoch marker, stamped with
+//! the seq of its last batch, after flushing the epoch's batches, so a
+//! shard's durable log shows where each epoch ended; a manifest does
+//! the same for its checkpoint epoch even when the marker itself was
+//! lost. Recovery picks the newest epoch `E` that every shard can end
+//! on exactly, replays each shard through `E`'s last batch, and
 //! truncates everything after it — partially durable epochs above `E`
 //! are discarded on every shard, which is exactly what makes the
 //! recovered state a consistent cut (mirror arcs of one undirected
@@ -71,7 +71,7 @@ fn apply_batch<E: EdgeSet>(
     let mut next = g;
     if !inserts.is_empty() {
         next = if directed {
-            next.insert_edges(inserts)
+            next.insert_arcs(inserts)
         } else {
             next.insert_edges(&symmetrize(inserts))
         };
@@ -186,12 +186,67 @@ pub fn recover<E: EdgeSet>(
     })
 }
 
+/// The epochs one shard's durable state can end on exactly, each with
+/// the seq of its last batch: the checkpoint's epoch, then every marker
+/// the in-order walk reaches. The walk stops where phase-2 replay would
+/// stop — at a batch whose seq is not the next one, or at a marker whose
+/// `last_seq` it has not reached (the lost batch was the epoch's last) —
+/// because a marker beyond a lost write proves nothing.
+struct EpochBounds(Vec<(u64, u64)>);
+
+impl EpochBounds {
+    fn scan(log: &ScannedLog, ck_epoch: u64, ck_seq: u64) -> Self {
+        let mut bounds = vec![(ck_epoch, ck_seq)];
+        let mut reach_seq = ck_seq;
+        for (_, rec, _) in &log.records {
+            match rec {
+                WalRecord::Epoch { epoch, last_seq } => {
+                    if *last_seq > reach_seq {
+                        break;
+                    }
+                    if *epoch > bounds[bounds.len() - 1].0 {
+                        bounds.push((*epoch, reach_seq));
+                    }
+                }
+                WalRecord::Batch { seq, .. } => {
+                    if *seq <= reach_seq {
+                        continue;
+                    }
+                    if *seq != reach_seq + 1 {
+                        break;
+                    }
+                    reach_seq = *seq;
+                }
+            }
+        }
+        EpochBounds(bounds)
+    }
+
+    /// The newest epoch this shard provably completed.
+    fn complete(&self) -> u64 {
+        self.0[self.0.len() - 1].0
+    }
+
+    /// The seq of epoch `e`'s last batch on this shard, if known: from
+    /// its marker, or — when that marker was lost — from the markers on
+    /// either side of it holding the same seq (no batch between them).
+    /// A lost marker with batches after it hides where its epoch ended.
+    fn last_seq(&self, e: u64) -> Option<u64> {
+        let i = self.0.partition_point(|&(x, _)| x < e);
+        match self.0.get(i) {
+            Some(&(x, s)) if x == e => Some(s),
+            Some(&(_, s)) if i > 0 && self.0[i - 1].1 == s => Some(s),
+            _ => None,
+        }
+    }
+}
+
 /// Recovers a `num_shards`-way sharded engine onto a consistent epoch
 /// cut (see the module docs for the protocol). Shard `k`'s log lives
 /// in `cfg.shard(k).dir`; the manifest lives in `cfg.dir`.
 ///
-/// Replaying truncates each shard's log right after its marker for the
-/// cut epoch, discarding partially durable later epochs — after this
+/// Replaying truncates each shard's log right after the cut epoch's
+/// last record, discarding partially durable later epochs — after this
 /// returns, the logs themselves are on the cut.
 pub fn recover_sharded<E: EdgeSet>(
     cfg: &DurabilityConfig,
@@ -205,8 +260,7 @@ pub fn recover_sharded<E: EdgeSet>(
     let manifest = load_latest_manifest(io, &cfg.dir, num_shards);
 
     // Phase 1: per shard, load the manifest-listed checkpoint and scan
-    // the durable log; a shard's provably complete epoch is the larger
-    // of its checkpoint's epoch and its last durable marker.
+    // the durable log for the epochs it can end on.
     let mut shards = Vec::with_capacity(num_shards);
     for k in 0..num_shards {
         let sdir = cfg.shard(k).dir;
@@ -220,59 +274,38 @@ pub fn recover_sharded<E: EdgeSet>(
             None => (Graph::new(edge_cfg), 0, 0),
         };
         let log = scan_log(io, &sdir)?;
-        // A marker only proves its epoch complete if every batch frame
-        // below it is replayable. A lost write leaves a seq gap with
-        // valid frames (and markers) beyond it; trusting those markers
-        // would pin the cut on an epoch this shard cannot actually
-        // reconstruct. Walk in order and stop at the first gap, exactly
-        // where the phase-2 replay will stop.
-        let mut reach_seq = ck_seq;
-        let mut last_marker = 0u64;
-        for (_, rec, _) in &log.records {
-            match rec {
-                WalRecord::Epoch(e) => last_marker = last_marker.max(*e),
-                WalRecord::Batch { seq, .. } => {
-                    if *seq <= reach_seq {
-                        continue;
-                    }
-                    if *seq != reach_seq + 1 {
-                        break;
-                    }
-                    reach_seq = *seq;
-                }
-            }
-        }
-        let complete_epoch = ck_epoch.max(last_marker);
-        shards.push((
-            sdir,
-            graph,
-            ck_seq,
-            ck_epoch,
-            last_marker,
-            complete_epoch,
-            log,
-        ));
+        let bounds = EpochBounds::scan(&log, ck_epoch, ck_seq);
+        shards.push((sdir, graph, ck_seq, bounds, log));
     }
-    let cut_epoch = shards.iter().map(|s| s.5).min().expect("num_shards > 0");
+    // The cut is the newest epoch every shard can end on exactly. Every
+    // shard shares the manifest's epoch (or 0 without one), so the
+    // search ends there at the latest.
+    let newest = shards
+        .iter()
+        .map(|s| s.3.complete())
+        .min()
+        .expect("num_shards > 0");
+    let cut_epoch = (0..=newest)
+        .rev()
+        .find(|&e| shards.iter().all(|s| s.3.last_seq(e).is_some()))
+        .unwrap_or(newest);
 
-    // Phase 2: replay each shard through its marker for `cut_epoch`
+    // Phase 2: replay each shard through the last batch of `cut_epoch`
     // and truncate the log right after it.
     let mut graphs = Vec::with_capacity(num_shards);
     let mut seqs = Vec::with_capacity(num_shards);
     let mut reports = Vec::with_capacity(num_shards);
-    for (sdir, mut graph, ck_seq, _ck_epoch, last_marker, _ce, log) in shards {
+    for (sdir, mut graph, ck_seq, bounds, log) in shards {
+        // A shard whose checkpoint did not load has no boundary at the
+        // cut; it applies nothing above its checkpoint.
+        let through = bounds.last_seq(cut_epoch).unwrap_or(ck_seq);
         let mut seq = ck_seq;
         let mut frames_replayed = 0u64;
         // keep = (segment, offset) of the last byte worth keeping.
         let mut keep: Option<(u64, usize)> = None;
-        // When the cut is proven only by this shard's checkpoint (its
-        // marker for `cut_epoch` never became durable), no frame above
-        // the checkpoint may be applied: any such frame belongs to an
-        // epoch past the cut.
-        let marker_reachable = last_marker >= cut_epoch && cut_epoch > 0;
         for (seg, rec, end) in &log.records {
             match rec {
-                WalRecord::Epoch(e) => {
+                WalRecord::Epoch { epoch: e, .. } => {
                     if *e > cut_epoch {
                         break;
                     }
@@ -290,7 +323,7 @@ pub fn recover_sharded<E: EdgeSet>(
                         keep = Some((*seg, *end));
                         continue;
                     }
-                    if !marker_reachable || *s != seq + 1 {
+                    if *s > through || *s != seq + 1 {
                         break; // beyond the cut, or a gap
                     }
                     graph = apply_batch(graph, inserts, deletes, true);
@@ -503,6 +536,8 @@ mod tests {
 
         // Shard 0: epoch 1 complete, then batch seq 2 is LOST, batch
         // seq 3 and the epoch-2 marker land durably after the hole.
+        // The markers are the old, seq-less kind: a later batch frame
+        // alone must expose the gap.
         let mut bytes = Vec::new();
         for rec in [
             WalRecord::Batch {
@@ -510,13 +545,19 @@ mod tests {
                 inserts: vec![(10, 77)],
                 deletes: vec![],
             },
-            WalRecord::Epoch(1),
+            WalRecord::Epoch {
+                epoch: 1,
+                last_seq: 0,
+            },
             WalRecord::Batch {
                 seq: 3,
                 inserts: vec![(30, 77)],
                 deletes: vec![],
             },
-            WalRecord::Epoch(2),
+            WalRecord::Epoch {
+                epoch: 2,
+                last_seq: 0,
+            },
         ] {
             bytes.extend_from_slice(&encode_record_frame(&rec));
         }

@@ -228,9 +228,9 @@ pub(crate) struct WriterShared<E: EdgeSet> {
     /// stop.
     pub repairer: Option<Sender<Installed<E>>>,
     /// Directed-arc mode: updates are oriented arcs that are applied
-    /// as-is (no symmetrization, ordered coalescing keys). Shard
-    /// engines run in this mode — the mirror arc of each undirected
-    /// edge is routed to the other endpoint's shard.
+    /// as-is (no symmetrization, ordered coalescing keys, no entry for
+    /// a target). Shard engines run in this mode — the mirror arc of
+    /// each undirected edge is routed to the other endpoint's shard.
     pub directed: bool,
     /// Durability: batch frames are appended (and policy-synced)
     /// *before* the version installs, so an installed batch is in the
@@ -398,7 +398,7 @@ fn flush<E: EdgeSet>(
             let mut next = None;
             if !net.inserts.is_empty() {
                 next = Some(if directed {
-                    g.insert_edges(&net.inserts)
+                    g.insert_arcs(&net.inserts)
                 } else {
                     g.insert_edges(&aspen::symmetrize(&net.inserts))
                 });

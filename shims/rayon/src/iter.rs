@@ -1182,10 +1182,6 @@ pub trait ParallelSliceMut<T: Send> {
     where
         T: Sync,
         F: Fn(&T) -> K + Sync;
-    fn par_sort_unstable_by_key<K: Ord, F>(&mut self, key: F)
-    where
-        T: Sync,
-        F: Fn(&T) -> K + Sync;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -1226,13 +1222,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         par_merge_sort(self, &compare);
     }
     fn par_sort_by_key<K: Ord, F>(&mut self, key: F)
-    where
-        T: Sync,
-        F: Fn(&T) -> K + Sync,
-    {
-        par_merge_sort(self, &|a, b| key(a).cmp(&key(b)));
-    }
-    fn par_sort_unstable_by_key<K: Ord, F>(&mut self, key: F)
     where
         T: Sync,
         F: Fn(&T) -> K + Sync,

@@ -417,6 +417,107 @@ fn sharded_corruption_plus_crash_recovers_a_consistent_prefix() {
     }
 }
 
+/// One frame a shard writer appends: a batch of arcs (`Some`) or the
+/// next epoch's marker (`None`).
+type Step<'a> = Option<&'a [(u32, u32)]>;
+
+/// Two hash shards whose logs are written frame by frame: `shard0`
+/// through a disk that drops its `drop_op`-th write, `shard1` intact.
+/// Returns the recovered cut after a crash.
+fn recover_two_shard_logs(
+    drop_op: u64,
+    shard0: &[Step],
+    shard1: &[Step],
+) -> stream::wal::RecoveredSharded<CompressedEdges> {
+    let mem = MemIo::new();
+    let root = mem_cfg(&mem, "dur");
+    let fio = Arc::new(FailpointIo::new(Arc::clone(&mem)));
+    fio.fail_at(Failpoint {
+        at_op: drop_op,
+        fault: Fault::DropWrite,
+    });
+    let logs: [(Arc<dyn WalIo>, &[Step]); 2] =
+        [(fio as _, shard0), (Arc::clone(&mem) as _, shard1)];
+    for (k, (io, steps)) in logs.into_iter().enumerate() {
+        let dir = root.shard(k).dir;
+        let mut w = WalWriter::open(io, &dir, FsyncPolicy::Always, 1 << 16, 0).unwrap();
+        let (mut seq, mut epoch) = (0, 0);
+        for step in steps {
+            match step {
+                Some(arcs) => {
+                    seq += 1;
+                    w.append_batch(seq, arcs, &[]).unwrap();
+                }
+                None => {
+                    epoch += 1;
+                    w.append_epoch(epoch).unwrap();
+                }
+            }
+        }
+    }
+    mem.crash();
+    recover_sharded::<CompressedEdges>(&root, 2, ChunkParams::default()).unwrap()
+}
+
+/// Vertex `u` owned by shard 0 of two, and `v`, `w`, `x` by shard 1.
+fn two_shard_ids() -> (ShardRouter, u32, u32, u32, u32) {
+    let router = ShardRouter::hash(2);
+    let owned_by = |k: usize| (0u32..).filter(move |&id| router.shard_of(id) == k);
+    let mut ones = owned_by(1);
+    let (v, w, x) = (
+        ones.next().unwrap(),
+        ones.next().unwrap(),
+        ones.next().unwrap(),
+    );
+    (router, owned_by(0).next().unwrap(), v, w, x)
+}
+
+/// A write lost right before an epoch marker leaves no later batch
+/// frame to show the seq gap, so the marker itself must. Shard 0 logs
+/// `B1 E1 [B2 lost] E2` while shard 1 logs both epochs whole: recovery
+/// has to land both shards on epoch 1, or shard 1 keeps the mirror of
+/// an arc shard 0 lost.
+#[test]
+fn sharded_marker_after_a_lost_batch_does_not_prove_its_epoch() {
+    let (router, u, v, w, _) = two_shard_ids();
+    let r = recover_two_shard_logs(
+        2, // B2
+        &[Some(&[(u, v)]), None, Some(&[(u, w)]), None],
+        &[Some(&[(v, u)]), None, Some(&[(w, u)]), None],
+    );
+    assert_mirror_consistent(&r.shards, &router);
+    assert_eq!((r.epoch, r.seqs.clone()), (1, vec![1, 1]));
+    let mut want = vec![(u, v), (v, u)];
+    want.sort_unstable();
+    assert_eq!(merged_arcs(&r.shards), want);
+}
+
+/// A lost epoch marker with batches after it hides where its epoch
+/// ended. Shard 0 logs `B1 E1 B2 [E2 lost] B3 E3`; shard 1 got no
+/// further than epoch 2. Shard 0 cannot stop at the end of epoch 2 —
+/// B3 may belong to it or to epoch 3 — so the cut is epoch 1 on both.
+#[test]
+fn sharded_lost_marker_hides_where_its_epoch_ended() {
+    let (router, u, v, w, x) = two_shard_ids();
+    let r = recover_two_shard_logs(
+        3, // E2
+        &[
+            Some(&[(u, v)]),
+            None,
+            Some(&[(u, x)]),
+            None,
+            Some(&[(u, w)]),
+            None,
+        ],
+        &[Some(&[(v, u)]), None, Some(&[(x, u)]), None],
+    );
+    assert_mirror_consistent(&r.shards, &router);
+    assert_eq!((r.epoch, r.seqs.clone()), (1, vec![1, 1]));
+    let mut want = vec![(u, v), (v, u)];
+    want.sort_unstable();
+    assert_eq!(merged_arcs(&r.shards), want);
+}
+
 /// A clean sharded close checkpoints every shard at the final cut and
 /// writes the manifest; recovery then restores the full state without
 /// replaying a single frame.

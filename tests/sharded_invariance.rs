@@ -13,7 +13,9 @@
 //! impl. Every cut is also audited for its invariants (each arc in its
 //! source's owner shard, its reverse present in the other endpoint's
 //! shard) — the properties the router and the epoch-barrier protocol
-//! exist to guarantee.
+//! exist to guarantee — and for key-disjointness: shard `k` holds a
+//! vertex entry only for ids it owns, after the initial build, after
+//! the history, and after crash recovery.
 //!
 //! Only the *final* state is compared because epoch boundaries depend
 //! on writer timing; final state does not (per-batch last-wins
@@ -25,9 +27,11 @@ use aspen_repro::aspen::{
     ShardRouter, VertexId,
 };
 use aspen_repro::graphgen::Update;
-use aspen_repro::stream::ShardedEngine;
+use aspen_repro::stream::wal::{recover_sharded, DurabilityConfig, MemIo, WalIo};
+use aspen_repro::stream::{ShardedCut, ShardedEngine};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn sym(edges: &[(VertexId, VertexId)]) -> Vec<(VertexId, VertexId)> {
     symmetrize(edges)
@@ -46,6 +50,23 @@ fn oracle<E: EdgeSet>(initial: &[(u32, u32)], updates: &[Update], cfg: E::Config
     g
 }
 
+/// Asserts that every vertex entry of shard `k` is owned by `k`.
+fn assert_key_disjoint<E: EdgeSet>(shards: &[&Graph<E>], router: ShardRouter, when: &str) {
+    for (k, g) in shards.iter().enumerate() {
+        for v in g.vertex_ids() {
+            assert_eq!(
+                router.shard_of(v),
+                k,
+                "{when}: shard {k} holds vertex {v} it does not own under {router:?}"
+            );
+        }
+    }
+}
+
+fn cut_shards<E: EdgeSet>(cut: &ShardedCut<E>) -> Vec<&Graph<E>> {
+    (0..cut.num_shards()).map(|k| &**cut.local(k)).collect()
+}
+
 /// Drives one sharded engine to completion and checks every digest
 /// against the oracle.
 fn check_one<E: EdgeSet>(
@@ -59,11 +80,13 @@ fn check_one<E: EdgeSet>(
         .initial_arcs(initial)
         .edge_config(cfg)
         .start();
+    assert_key_disjoint(&cut_shards(&engine.pin()), router, "initial build");
     let h = engine.handle();
     h.push_all(updates).expect("engine closed early");
     drop(h);
     let report = engine.finish();
     let cut = &report.final_cut;
+    assert_key_disjoint(&cut_shards(cut), router, "after the history");
 
     assert_eq!(
         cut.check_mirror_consistency(),
@@ -119,6 +142,39 @@ fn check_invariance<E: EdgeSet>(raw_initial: &[(u32, u32)], updates: &[Update], 
     }
 }
 
+/// Runs a durable engine over `updates`, then recovers its logs: by
+/// replaying every WAL frame onto the checkpoint of the initial graph
+/// (`finish` writes no other), and from the checkpoint `close` writes.
+/// Both must come back key-disjoint and equal to the oracle.
+fn check_recovery(router: ShardRouter, initial: &[(u32, u32)], updates: &[Update]) {
+    let cfg = ChunkParams::default();
+    let want = oracle::<CompressedEdges>(initial, updates, cfg);
+    for checkpoint in [false, true] {
+        let mem = MemIo::new();
+        let dur = DurabilityConfig::with_io("dur", Arc::clone(&mem) as Arc<dyn WalIo>);
+        let engine = ShardedEngine::<CompressedEdges>::builder(router)
+            .initial_arcs(initial)
+            .durability(dur.clone())
+            .start();
+        // The initial graph reaches the disk only through a checkpoint.
+        engine.checkpoint().unwrap();
+        let h = engine.handle();
+        h.push_all(updates).expect("engine closed early");
+        drop(h);
+        if checkpoint {
+            engine.close();
+        } else {
+            engine.finish();
+        }
+        mem.crash();
+        let r = recover_sharded::<CompressedEdges>(&dur, router.num_shards(), cfg).unwrap();
+        let shards: Vec<&Graph<CompressedEdges>> = r.shards.iter().collect();
+        assert_key_disjoint(&shards, router, "after recovery");
+        let edges: u64 = shards.iter().map(|g| g.num_edges()).sum();
+        assert_eq!(edges, want.num_edges(), "recovered edges under {router:?}");
+    }
+}
+
 fn edge_strategy() -> impl Strategy<Value = (VertexId, VertexId)> {
     // Small id range: collisions, re-inserts, and deletes of live
     // edges are all common.
@@ -150,6 +206,27 @@ proptest! {
     ) {
         // Tiny chunks so arcs cross chunk boundaries constantly.
         check_invariance::<IntervalEdges>(&initial, &updates, ChunkParams::with_b(4));
+    }
+}
+
+#[test]
+fn recovered_shards_hold_only_their_own_vertices() {
+    let initial = sym(&[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]);
+    let updates: Vec<Update> = (0..60u32)
+        .map(|i| {
+            if i % 4 == 3 {
+                Update::Delete(i % 6, (i * 5 + 1) % 20)
+            } else {
+                Update::Insert(i % 6, (i * 5 + 1) % 20)
+            }
+        })
+        .collect();
+    for router in [
+        ShardRouter::hash(2),
+        ShardRouter::hash(4),
+        ShardRouter::range(3, 20),
+    ] {
+        check_recovery(router, &initial, &updates);
     }
 }
 
